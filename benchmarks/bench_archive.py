@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.archive import ArchiveReader, ArchiveWriter
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -47,8 +48,10 @@ def test_random_access_beats_full_decode(tmp_path, save_json_record):
     frames = ct_slice_series(count=FRAME_COUNT, size=FRAME_SIZE, seed=20260728)
     path = tmp_path / "bench.dwta"
     began = time.perf_counter()
-    with ArchiveWriter.create(path, codec="s-transform", scales=4) as writer:
-        writer.add_frames(frames)
+    with ArchiveWriter.create(
+        path, spec=CodecSpec(codec="s-transform", scales=4)
+    ) as writer:
+        writer.append_batch(frames)
     pack_seconds = time.perf_counter() - began
 
     with ArchiveReader(path) as reader:
@@ -95,8 +98,10 @@ def test_zero_copy_beats_copying_reads(tmp_path, save_json_record):
     """mmap payload views >= 1.2x over seek+read, identical accounting."""
     frames = ct_slice_series(count=FRAME_COUNT, size=FRAME_SIZE, seed=20260728)
     path = tmp_path / "bench_zero_copy.dwta"
-    with ArchiveWriter.create(path, codec="s-transform", scales=4) as writer:
-        writer.add_frames(frames)
+    with ArchiveWriter.create(
+        path, spec=CodecSpec(codec="s-transform", scales=4)
+    ) as writer:
+        writer.append_batch(frames)
 
     # Checksums off so the comparison isolates the read paths themselves
     # (CRC work is identical on both and would only dilute the ratio).

@@ -32,6 +32,7 @@ from repro.archive import (
     LAYOUT_SUBBAND_MAJOR,
     prefix_length,
 )
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -59,11 +60,15 @@ def test_preview_reads_a_prefix_and_beats_full_decode(tmp_path, save_json_record
     subband = tmp_path / "subband.dwta"
     frame_major = tmp_path / "frame_major.dwta"
     with ArchiveWriter.create(
-        subband, codec="s-transform", scales=SCALES, layout=LAYOUT_SUBBAND_MAJOR
+        subband,
+        spec=CodecSpec(codec="s-transform", scales=SCALES),
+        layout=LAYOUT_SUBBAND_MAJOR,
     ) as writer:
         writer.append_batch([frame], names=["slice"])
     with ArchiveWriter.create(
-        frame_major, codec="s-transform", scales=SCALES, layout=LAYOUT_FRAME_MAJOR
+        frame_major,
+        spec=CodecSpec(codec="s-transform", scales=SCALES),
+        layout=LAYOUT_FRAME_MAJOR,
     ) as writer:
         writer.append_batch([frame], names=["slice"])
 

@@ -29,6 +29,7 @@ from _gates import cpu_throughput_gate
 from repro.archive import ShardedArchiveReader
 from repro.archive.replication import ReplicatedShardSet
 from repro.archive.server import ArchiveHTTPServer, ArchiveService
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -95,7 +96,12 @@ def test_server_sustained_concurrent_load(tmp_path, save_json_record):
     frames = ct_slice_series(count=FRAME_COUNT, size=FRAME_SIZE, seed=20260808)
     names = _names(FRAME_COUNT)
     path = tmp_path / "served.dwts"
-    with ReplicatedShardSet.create(path, shards=SHARDS, replicas=1, scales=2) as writer:
+    with ReplicatedShardSet.create(
+        path,
+        spec=CodecSpec(scales=2),
+        shards=SHARDS,
+        replicas=1,
+    ) as writer:
         writer.append_batch(frames, names=names)
     with ShardedArchiveReader(path) as direct:
         expected = {name: direct.decode(name) for name in names}

@@ -14,6 +14,7 @@ import numpy as np
 from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.pipeline import compress_frames, decompress_frames
 from repro.coding.s_transform import STransformCodec
+from repro.coding.spec import CodecSpec
 from repro.imaging.dataset import standard_dataset
 from repro.imaging.phantoms import shepp_logan
 
@@ -81,7 +82,7 @@ def test_codec_batched_pipeline(benchmark):
     frames = [shepp_logan(size) for size in (64, 128, 256, 128, 64, 96, 160, 192)]
 
     def roundtrip_batch():
-        batch = compress_frames(frames, codec="s-transform", scales=4)
+        batch = compress_frames(frames, spec=CodecSpec(codec="s-transform", scales=4))
         decoded, _ = decompress_frames(batch)
         return batch, decoded
 

@@ -23,6 +23,7 @@ import pytest
 
 from _gates import cpu_throughput_gate
 from repro.coding import compress_frames
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -38,7 +39,11 @@ def _best_run(frames, workers, repeats=3):
     best, batch = float("inf"), None
     for _ in range(repeats):
         began = time.perf_counter()
-        batch = compress_frames(frames, codec="s-transform", scales=4, workers=workers)
+        batch = compress_frames(
+            frames,
+            spec=CodecSpec(codec="s-transform", scales=4),
+            workers=workers,
+        )
         best = min(best, time.perf_counter() - began)
     return best, batch
 

@@ -74,7 +74,6 @@ from .format import (
     ArchiveError,
     ArchiveFormatError,
     ArchiveIntegrityError,
-    ArchiveTruncatedError,
     FrameInfo,
     ShardManifest,
     TruncatedArchiveError,
@@ -135,7 +134,6 @@ __all__ = [
     "ArchiveFormatError",
     "ArchiveIntegrityError",
     "TruncatedArchiveError",
-    "ArchiveTruncatedError",
     "FrameInfo",
     "ShardManifest",
     "StorageBackend",

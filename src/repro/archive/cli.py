@@ -58,11 +58,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..coding.spec import codec_names
+from ..coding.spec import ENGINE_NAMES, CodecSpec, codec_names
 from ..imaging.dataset import archive_dataset
 from ..imaging.io_pgm import read_pgm, write_pgm
 from .format import LAYOUT_FRAME_MAJOR, LAYOUTS, ArchiveError
 from .ingest import ingest_frames
+from .reader import ArchiveReader
 from .serialize import frame_spec
 from .sharding import ShardedArchiveReader, ShardedArchiveWriter, is_sharded, open_archive
 from .writer import ArchiveWriter
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pack.add_argument(
         "--engine",
-        choices=("fast", "scalar", "turbo"),
+        choices=ENGINE_NAMES,
         default=None,
         help="entropy-coding engine tier (default: REPRO_ENGINE or fast)",
     )
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--engine",
-        choices=("fast", "scalar", "turbo"),
+        choices=ENGINE_NAMES,
         default=None,
         help="decode engine tier (default: REPRO_ENGINE or fast)",
     )
@@ -344,6 +345,34 @@ def _unique_names(names: List[str], taken_names) -> List[str]:
         taken.add(candidate)
         unique.append(candidate)
     return unique
+
+
+def _pack_spec(
+    args: argparse.Namespace, bit_depth: int, inherited: Optional[CodecSpec] = None
+) -> CodecSpec:
+    """The one :class:`CodecSpec` the ``pack`` flags describe.
+
+    Appending without ``--codec`` keeps the archive's last stored spec
+    (``inherited``) and applies only ``--scales``, ``--engine`` and the
+    input bit depth on top of it.
+    """
+    if inherited is not None and args.codec is None:
+        return inherited.replace(
+            scales=inherited.scales if args.scales is None else args.scales,
+            engine=args.engine,
+            bit_depth=bit_depth,
+        )
+    codec = args.codec or "s-transform"
+    bank_options = {}
+    if codec == "coefficient":
+        bank_options = {"bank": args.bank or "F2", "use_rle": not args.no_rle}
+    return CodecSpec(
+        codec=codec,
+        scales=4 if args.scales is None else args.scales,
+        engine=args.engine,
+        bit_depth=bit_depth,
+        **bank_options,
+    )
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
@@ -403,9 +432,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
                 return images[position]
             return read_pgm(paths[position])
 
-    options = {"bit_depth": bit_depth}
-    if args.codec == "coefficient":
-        options.update(bank=args.bank or "F2", use_rle=not args.no_rle)
     if args.append and is_sharded(args.archive):
         overridden = [
             flag
@@ -430,58 +456,37 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             args.archive, workers=args.workers, engine=args.engine
         )
     elif args.append:
-        # codec/scales stay None unless given explicitly, so the writer
-        # inherits the archive's own configuration.
+        with ArchiveReader(args.archive) as reader:
+            inherited = frame_spec(reader.frames[-1]) if len(reader) else None
         writer = ArchiveWriter.append(
             args.archive,
-            codec=args.codec,
-            scales=args.scales,
-            engine=args.engine,
+            spec=_pack_spec(args, bit_depth, inherited),
             workers=args.workers,
             layout=args.layout,
-            **options,
         )
-    elif args.shards:
-        if args.replicas:
+    else:
+        options = {
+            "spec": _pack_spec(args, bit_depth),
+            "overwrite": args.overwrite,
+            "workers": args.workers,
+            "layout": args.layout or LAYOUT_FRAME_MAJOR,
+        }
+        if args.shards and args.replicas:
             from .replication import ReplicatedShardSet
 
             writer = ReplicatedShardSet.create(
                 args.archive,
                 shards=args.shards,
                 replicas=args.replicas,
-                codec=args.codec or "s-transform",
-                scales=args.scales if args.scales is not None else 4,
-                engine=args.engine,
-                overwrite=args.overwrite,
-                workers=args.workers,
-                layout=args.layout or LAYOUT_FRAME_MAJOR,
                 placement=placement,
                 **options,
+            )
+        elif args.shards:
+            writer = ShardedArchiveWriter.create(
+                args.archive, shards=args.shards, placement=placement, **options
             )
         else:
-            writer = ShardedArchiveWriter.create(
-                args.archive,
-                shards=args.shards,
-                codec=args.codec or "s-transform",
-                scales=args.scales if args.scales is not None else 4,
-                engine=args.engine,
-                overwrite=args.overwrite,
-                workers=args.workers,
-                layout=args.layout or LAYOUT_FRAME_MAJOR,
-                placement=placement,
-                **options,
-            )
-    else:
-        writer = ArchiveWriter.create(
-            args.archive,
-            codec=args.codec or "s-transform",
-            scales=args.scales if args.scales is not None else 4,
-            engine=args.engine,
-            overwrite=args.overwrite,
-            workers=args.workers,
-            layout=args.layout or LAYOUT_FRAME_MAJOR,
-            **options,
-        )
+            writer = ArchiveWriter.create(args.archive, **options)
     with writer:
         unique = _unique_names(names, writer.frame_names)
         if args.stream:

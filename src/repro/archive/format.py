@@ -67,7 +67,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Mapping, Tuple
+from typing import BinaryIO, List, Tuple
 
 from ..coding.spec import codec_wire_ids
 
@@ -75,8 +75,7 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "HEADER_SIZE",
-    "CODEC_IDS",
-    "CODEC_NAMES_BY_ID",
+    "codec_name_for_id",
     "KIND_IDS",
     "KINDS_BY_ID",
     "FLAG_USE_RLE",
@@ -87,7 +86,6 @@ __all__ = [
     "ArchiveError",
     "ArchiveFormatError",
     "TruncatedArchiveError",
-    "ArchiveTruncatedError",
     "ArchiveIntegrityError",
     "crc32",
     "Header",
@@ -134,48 +132,6 @@ _HEADER_STRUCT = struct.Struct("<8sHHIQQII")
 #: (followed by the length-prefixed filter-bank name).
 _ENTRY_STRUCT = struct.Struct("<QQIBBBBIIQ")
 
-class _RegistryView(Mapping):
-    """Live read-through view of the codec registry's wire-id table.
-
-    A plain dict snapshot taken at import time would go stale the moment a
-    codec family is registered later; this view re-reads the registry on
-    every lookup, so the writer's index packer and the reader's id checks
-    always see exactly the registered families.
-    """
-
-    def __init__(self, invert: bool = False) -> None:
-        self._invert = invert
-
-    def _table(self) -> dict:
-        ids = codec_wire_ids()
-        return {v: k for k, v in ids.items()} if self._invert else ids
-
-    def __getitem__(self, key):
-        return self._table()[key]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return len(self._table())
-
-    def __eq__(self, other) -> bool:
-        return self._table() == other
-
-    def __ne__(self, other) -> bool:
-        return self._table() != other
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return repr(self._table())
-
-
-#: Codec identifiers stored in index entries and frame payloads — live
-#: views of the codec registry (:mod:`repro.coding.spec`): the registry's
-#: ``wire_id`` values *are* the on-disk ids, so registering a codec family
-#: makes its id valid here immediately and no layer keeps a private table.
-CODEC_IDS: Mapping[str, int] = _RegistryView()
-CODEC_NAMES_BY_ID: Mapping[int, str] = _RegistryView(invert=True)
-
 #: Subband kind identifiers used by the payload serialiser.
 KIND_IDS = {"HH": 0, "HG": 1, "GH": 2, "GG": 3}
 KINDS_BY_ID = {v: k for k, v in KIND_IDS.items()}
@@ -210,12 +166,21 @@ class TruncatedArchiveError(ArchiveFormatError):
     disappears mid-session: bytes that should exist are gone either way."""
 
 
-#: Taxonomy-ordered alias (``Archive*Error`` like its siblings).
-ArchiveTruncatedError = TruncatedArchiveError
-
-
 class ArchiveIntegrityError(ArchiveError):
     """A stored checksum does not match the bytes on disk."""
+
+
+def codec_name_for_id(codec_id: int, where: str) -> str:
+    """Registered codec name of a stored wire id.
+
+    The codec registry's ``wire_id`` values (:func:`codec_wire_ids`) *are*
+    the on-disk ids, so no layer keeps a private table; an id no family
+    claims raises :class:`ArchiveFormatError` naming ``where`` it was read.
+    """
+    for name, wire_id in codec_wire_ids().items():
+        if wire_id == codec_id:
+            return name
+    raise ArchiveFormatError(f"{where} has unknown codec id {codec_id}")
 
 
 def crc32(data: bytes) -> int:
@@ -318,6 +283,7 @@ def pack_index(entries: List[FrameInfo]) -> bytes:
     the index CRC lives in the header so the header alone authenticates
     the whole directory)."""
     parts: List[bytes] = []
+    wire_ids = codec_wire_ids()
     for entry in entries:
         name = entry.name.encode("utf-8")
         bank = entry.bank_name.encode("utf-8")
@@ -339,7 +305,7 @@ def pack_index(entries: List[FrameInfo]) -> bytes:
                 entry.offset,
                 entry.length,
                 entry.crc32,
-                CODEC_IDS[entry.codec],
+                wire_ids[entry.codec],
                 entry.scales,
                 entry.bit_depth,
                 flags,
@@ -378,13 +344,12 @@ def unpack_index(data: bytes, frame_count: int) -> List[FrameInfo]:
                 f"index table ends inside entry {index} of {frame_count}"
             ) from exc
         offset, length, payload_crc, codec_id, scales, bit_depth, flags, height, width, raw = fields
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"index entry {index} has unknown codec id {codec_id}")
+        codec = codec_name_for_id(codec_id, f"index entry {index}")
         entries.append(
             FrameInfo(
                 index=index,
                 name=name.decode("utf-8"),
-                codec=CODEC_NAMES_BY_ID[codec_id],
+                codec=codec,
                 scales=scales,
                 bit_depth=bit_depth,
                 shape=(height, width),

@@ -88,8 +88,8 @@ class ArchiveReader:
         Archive file to open — a filesystem path or any
         :class:`~repro.archive.backend.StorageBackend`.
     engine:
-        Entropy-coding engine for decoding (``"fast"``, ``"scalar"`` or
-        ``"turbo"``); ``None`` (the default) resolves through
+        Entropy-coding engine for decoding (``"fast"`` or ``"scalar"``);
+        ``None`` (the default) resolves through
         :func:`~repro.coding.spec.default_engine` (the ``REPRO_ENGINE``
         environment variable, else ``"fast"``).
     verify_checksums:
@@ -449,14 +449,7 @@ class ArchiveReader:
             spec = self.spec_for(entries[0])
         else:
             spec = CodecSpec(engine=self.engine)
-        return CompressedBatch(
-            codec=spec.codec,
-            engine=spec.engine,
-            codec_options=spec.codec_kwargs(),
-            streams=[self.read_stream(entry) for entry in entries],
-            stats=PipelineStats(),
-            spec=spec,
-        )
+        return CompressedBatch(spec, [self.read_stream(entry) for entry in entries])
 
     def decode_all(
         self, keys: Optional[Sequence[FrameKey]] = None, workers: int = 1

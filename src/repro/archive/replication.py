@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..coding.spec import CodecSpec, reject_spec_overrides
+from ..coding.spec import CodecSpec, spec_or_default
 from .backend import StorageBackend
 from .format import (
     LAYOUT_FRAME_MAJOR,
@@ -144,12 +144,8 @@ class ReplicatedShardSet(ShardedArchiveWriter):
         spec: Optional[CodecSpec] = None,
         overwrite: bool = False,
         workers: int = 1,
-        codec: Optional[str] = None,
-        scales: Optional[int] = None,
-        engine: Optional[str] = None,
         layout: str = LAYOUT_FRAME_MAJOR,
         placement=None,
-        **codec_options,
     ) -> "ReplicatedShardSet":
         """Create a replicated set: ``shards`` primaries × (1 + ``replicas``)
         copies, all empty finalised containers, plus the manifest (v2, or
@@ -158,15 +154,7 @@ class ReplicatedShardSet(ShardedArchiveWriter):
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         if layout not in LAYOUTS:
             raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
-        if spec is None:
-            spec = CodecSpec.from_kwargs(
-                codec=codec if codec is not None else "s-transform",
-                scales=scales if scales is not None else 4,
-                engine=engine,
-                **codec_options,
-            )
-        else:
-            reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
+        spec = spec_or_default(spec)
         path = Path(path)
         if path.exists() and not overwrite:
             raise FileExistsError(

@@ -76,7 +76,6 @@ from ..coding.spec import CodecSpec, UnknownCodecError, family_for_stream, get_f
 from ..filters.catalog import get_bank
 from ..fixedpoint.wordlength import plan_word_lengths
 from .format import (
-    CODEC_NAMES_BY_ID,
     KIND_IDS,
     KINDS_BY_ID,
     LAYOUT_FRAME_MAJOR,
@@ -86,6 +85,7 @@ from .format import (
     ArchiveIntegrityError,
     FrameInfo,
     TruncatedArchiveError,
+    codec_name_for_id,
     crc32,
 )
 
@@ -480,9 +480,7 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
     # ends in, which is the error the truncation sweep asserts.
     try:
         codec_id = reader.read_uint(8)
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
-        family = get_family(CODEC_NAMES_BY_ID[codec_id])
+        family = get_family(codec_name_for_id(codec_id, "frame payload"))
         scales = reader.read_uint(8)
         shape = (reader.read_uint(32), reader.read_uint(32))
         bit_depth = reader.read_uint(8)
@@ -689,11 +687,7 @@ def _deserialize_frame_major(payload: Payload) -> Tuple[CompressedStream, CodecS
     reader = BitReader(meta)
     try:
         codec_id = reader.read_uint(8)
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
-        # The name came from inverting the registry, so this lookup cannot
-        # miss; it just resolves the id to its family entry.
-        family = get_family(CODEC_NAMES_BY_ID[codec_id])
+        family = get_family(codec_name_for_id(codec_id, "frame payload"))
         scales = reader.read_uint(8)
         shape = (reader.read_uint(32), reader.read_uint(32))
         bit_depth = reader.read_uint(8)
@@ -825,9 +819,7 @@ def payload_spec(payload: Payload) -> CodecSpec:
     reader = BitReader(meta)
     try:
         codec_id = reader.read_uint(8)
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
-        family = get_family(CODEC_NAMES_BY_ID[codec_id])
+        family = get_family(codec_name_for_id(codec_id, "frame payload"))
         scales = reader.read_uint(8)
         reader.read_uint(32), reader.read_uint(32)  # geometry, not part of the spec
         bit_depth = reader.read_uint(8)

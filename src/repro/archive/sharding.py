@@ -58,7 +58,7 @@ from ..coding.pipeline import (
     compress_frames,
     decompress_frames,
 )
-from ..coding.spec import CodecSpec, default_engine, reject_spec_overrides
+from ..coding.spec import CodecSpec, default_engine, spec_or_default
 from .backend import RetryPolicy, StorageBackend
 from .format import (
     LAYOUT_FRAME_MAJOR,
@@ -392,21 +392,16 @@ class ShardedArchiveWriter:
         spec: Optional[CodecSpec] = None,
         overwrite: bool = False,
         workers: int = 1,
-        codec: Optional[str] = None,
-        scales: Optional[int] = None,
-        engine: Optional[str] = None,
         layout: str = LAYOUT_FRAME_MAJOR,
         placement: PlacementLike = None,
-        **codec_options,
     ) -> "ShardedArchiveWriter":
         """Create a new set: N empty finalised shards plus the manifest.
 
         ``path`` is the manifest file (conventionally ``*.dwts``); shard
-        containers are created next to it.  Configuration defaults match
-        :meth:`ArchiveWriter.create`; ``spec`` and the legacy keywords are
-        mutually exclusive, as everywhere else.  ``layout`` (stored in the
-        manifest) sets the payload layout of every shard — pass
-        ``"subband-major"`` for progressive prefix-decodable payloads.
+        containers are created next to it.  ``spec`` defaults to
+        ``CodecSpec()``, as in :meth:`ArchiveWriter.create`.  ``layout``
+        (stored in the manifest) sets the payload layout of every shard —
+        pass ``"subband-major"`` for progressive prefix-decodable payloads.
         ``placement`` (shard file name → preferred worker node id, or a
         node-id sequence in shard order) stores the distributed routing
         map; a placed manifest is stamped version 3, an unplaced one keeps
@@ -414,15 +409,7 @@ class ShardedArchiveWriter:
         """
         if layout not in LAYOUTS:
             raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
-        if spec is None:
-            spec = CodecSpec.from_kwargs(
-                codec=codec if codec is not None else "s-transform",
-                scales=scales if scales is not None else 4,
-                engine=engine,
-                **codec_options,
-            )
-        else:
-            reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
+        spec = spec_or_default(spec)
         path = Path(path)
         if path.exists() and not overwrite:
             raise FileExistsError(
@@ -615,15 +602,6 @@ class ShardedArchiveWriter:
         self._total += len(frames)
         return [entry for entry in entries if entry is not None]
 
-    def add_frames(
-        self,
-        frames: Sequence[np.ndarray],
-        names: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
-    ) -> List[FrameInfo]:
-        """Alias of :meth:`append_batch` (single-archive API parity)."""
-        return self.append_batch(frames, names=names, workers=workers)
-
     def _run_shard_pool(
         self,
         groups: Dict[int, List[int]],
@@ -729,7 +707,7 @@ class ShardedArchiveWriter:
                     self.placement_hits += 1
                 else:
                     self.placement_fallbacks += 1
-            batch = CompressedBatch.from_spec(self.spec, result["items"])
+            batch = CompressedBatch(self.spec, result["items"])
             shard_entries: Optional[List[FrameInfo]] = None
             for path in self._shard_write_paths(shard):
                 with ArchiveWriter.append(
@@ -1098,15 +1076,11 @@ class ShardedArchiveReader:
         else:
             spec = self.spec.replace(engine=self.engine)
         return CompressedBatch(
-            codec=spec.codec,
-            engine=spec.engine,
-            codec_options=spec.codec_kwargs(),
-            streams=[
+            spec,
+            [
                 self._shard_op(shard, lambda r, e=entry: r.read_stream(e))
                 for shard, entry in located
             ],
-            stats=PipelineStats(),
-            spec=spec,
         )
 
     def decode_all(

@@ -21,17 +21,15 @@ in a single small write.  A writer that crashes mid-append therefore leaves
 the archive exactly as it was before the append (the old header still
 points at the intact old index; the dangling new payload bytes are simply
 unreferenced).  The dead old-index bytes this leaves behind cost a few tens
-of bytes per frame per append.  The codec configuration of an appending
-writer defaults to that of the last stored frame so a series keeps
-compressing the way it started.
+of bytes per frame per append.  An appending writer given no ``spec``
+inherits the last stored frame's, so a series keeps compressing the way
+it started.
 
 The writer's configuration is one :class:`~repro.coding.spec.CodecSpec`
-(``writer.spec``); the legacy ``codec=``/``scales=``/``engine=`` keywords
-still work and are folded into a spec by the compatibility shim.
-Compression is delegated to the stage pipeline
+(``writer.spec``).  Compression is delegated to the stage pipeline
 (:func:`repro.coding.pipeline.compress_frames`):
-:meth:`ArchiveWriter.append_batch` (alias :meth:`add_frames`) runs one
-pipeline call over the new frames — sharded across a process pool when
+:meth:`ArchiveWriter.append_batch` runs one pipeline call over the new
+frames — sharded across a process pool when
 ``workers`` > 1 — and archives the resulting streams, accumulating the
 pipeline's per-stage wall-clock stats in ``writer.stats``.  Pre-compressed
 batches (:meth:`ArchiveWriter.add_batch`) and single streams
@@ -41,13 +39,13 @@ batches (:meth:`ArchiveWriter.add_batch`) and single streams
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..coding.executor import is_socket_workers
 from ..coding.pipeline import CompressedBatch, PipelineStats, compress_frames
-from ..coding.spec import CodecSpec, default_engine, reject_spec_overrides
+from ..coding.spec import CodecSpec, spec_or_default
 from .backend import StorageBackend, resolve_backend
 from .format import (
     HEADER_SIZE,
@@ -81,11 +79,8 @@ class ArchiveWriter:
     """Writes a frame archive; use :meth:`create` or :meth:`append` to open.
 
     The codec configuration is a :class:`~repro.coding.spec.CodecSpec`
-    (``writer.spec``); :meth:`create`/:meth:`append` also accept the legacy
-    keyword style (``codec=``, ``scales=``, ``engine=``, plus anything the
-    codec constructor takes — ``bank``, ``bit_depth``, ``use_rle``, ...)
-    and build the spec through the compatibility shim.  ``workers`` sets
-    the default process-pool width for :meth:`append_batch`.
+    (``writer.spec``).  ``workers`` sets the default process-pool width
+    for :meth:`append_batch`.
     """
 
     def __init__(
@@ -121,55 +116,25 @@ class ArchiveWriter:
         self._offset = offset
         self._closed = False
 
-    # -- legacy configuration views -----------------------------------------------------
-    @property
-    def codec(self) -> str:
-        return self.spec.codec
-
-    @property
-    def scales(self) -> int:
-        return self.spec.scales
-
-    @property
-    def engine(self) -> str:
-        return self.spec.engine
-
-    @property
-    def codec_options(self) -> Dict:
-        return self.spec.codec_kwargs()
-
     # -- construction -------------------------------------------------------------------
     @classmethod
     def create(
         cls,
         path: Target,
-        codec: Optional[str] = None,
-        scales: Optional[int] = None,
-        engine: Optional[str] = None,
-        overwrite: bool = False,
         spec: Optional[CodecSpec] = None,
+        overwrite: bool = False,
         workers: int = 1,
         layout: str = LAYOUT_FRAME_MAJOR,
-        **codec_options,
     ) -> "ArchiveWriter":
         """Create a new archive at ``path`` (refuses to clobber unless told to).
 
-        Configuration defaults: s-transform codec, 4 scales, and the
-        :func:`~repro.coding.spec.default_engine` entropy tier.
-        Passing ``spec`` together with any explicit codec keyword is an
-        error, never a silent override.  ``layout="subband-major"`` stores
-        payloads coarsest-subband-first so previews decode from a strict
-        byte prefix (and makes the container format version 2).
+        ``spec`` defaults to ``CodecSpec()``: s-transform codec, 4 scales,
+        and the :func:`~repro.coding.spec.default_engine` entropy tier.
+        ``layout="subband-major"`` stores payloads coarsest-subband-first so
+        previews decode from a strict byte prefix (and makes the container
+        format version 2).
         """
-        if spec is None:
-            spec = CodecSpec.from_kwargs(
-                codec=codec if codec is not None else "s-transform",
-                scales=scales if scales is not None else 4,
-                engine=engine,
-                **codec_options,
-            )
-        else:
-            reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
+        spec = spec_or_default(spec)
         backend = resolve_backend(path)
         if backend.exists() and not overwrite:
             raise FileExistsError(
@@ -194,20 +159,17 @@ class ArchiveWriter:
     def append(
         cls,
         path: Target,
-        codec: Optional[str] = None,
-        scales: Optional[int] = None,
-        engine: Optional[str] = None,
         spec: Optional[CodecSpec] = None,
         workers: int = 1,
         layout: Optional[str] = None,
-        **codec_options,
     ) -> "ArchiveWriter":
         """Open an existing archive to add frames after the ones it holds.
 
-        The codec configuration defaults to the last stored frame's
-        (codec, scales, bank, bit depth, RLE choice), and the payload
-        ``layout`` to the last stored frame's layout, so an appended series
-        stays homogeneous unless overridden explicitly.
+        Without ``spec`` the writer inherits the last stored frame's spec
+        (codec, scales, bank, bit depth, RLE choice; the entropy engine is
+        the :func:`~repro.coding.spec.default_engine` tier) — or
+        ``CodecSpec()`` for an empty archive — and without ``layout`` the
+        last stored frame's layout, so an appended series stays homogeneous.
         """
         backend = resolve_backend(path)
         fh = backend.open_modify()
@@ -215,26 +177,9 @@ class ArchiveWriter:
             header = read_header(fh)
             fh.seek(0, 2)
             entries = read_index(fh, header, fh.tell())
-            if spec is None:
-                if entries and codec is None:
-                    # Inherit the stored configuration via the last frame's
-                    # spec; explicit keywords still override field by field.
-                    inherited = frame_spec(entries[-1])
-                    spec = inherited.replace(
-                        engine=engine if engine is not None else default_engine(),
-                        scales=scales if scales is not None else inherited.scales,
-                    ).replace_options(**codec_options)
-                else:
-                    spec = CodecSpec.from_kwargs(
-                        codec=codec or "s-transform",
-                        scales=scales if scales is not None else 4,
-                        engine=engine,
-                        **codec_options,
-                    )
-            else:
-                reject_spec_overrides(
-                    codec_options, codec=codec, scales=scales, engine=engine
-                )
+            if spec is None and entries:
+                spec = frame_spec(entries[-1])
+            spec = spec_or_default(spec)
             if layout is None:
                 layout = entries[-1].layout if entries else LAYOUT_FRAME_MAJOR
             # New payloads go after the old index, which stays valid (and
@@ -295,10 +240,10 @@ class ArchiveWriter:
         self, batch: CompressedBatch, names: Optional[Sequence[str]] = None
     ) -> List[FrameInfo]:
         """Archive every stream of a :func:`compress_frames` batch."""
-        if batch.codec != self.codec:
+        if batch.spec.codec != self.spec.codec:
             raise ValueError(
-                f"batch was compressed with codec {batch.codec!r}, "
-                f"writer is configured for {self.codec!r}"
+                f"batch was compressed with codec {batch.spec.codec!r}, "
+                f"writer is configured for {self.spec.codec!r}"
             )
         if names is not None and len(names) != len(batch.streams):
             raise ValueError(
@@ -330,15 +275,6 @@ class ArchiveWriter:
             workers=self.workers if workers is None else workers,
         )
         return self.add_batch(batch, names)
-
-    def add_frames(
-        self,
-        frames: Sequence[np.ndarray],
-        names: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
-    ) -> List[FrameInfo]:
-        """Alias of :meth:`append_batch` (the pre-spec name)."""
-        return self.append_batch(frames, names=names, workers=workers)
 
     # -- finalisation -------------------------------------------------------------------
     def __len__(self) -> int:

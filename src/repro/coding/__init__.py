@@ -38,7 +38,6 @@ from .pipeline import (
 )
 from .spec import (
     ENGINE_NAMES,
-    TRANSFORM_ENGINE_NAMES,
     CodecFamily,
     CodecSpec,
     UnknownCodecError,
@@ -63,7 +62,6 @@ from .huffman import (
     canonical_codes,
     huffman_decode,
     huffman_decode_scalar,
-    huffman_decode_turbo,
     huffman_encode,
     huffman_encode_scalar,
 )
@@ -74,9 +72,7 @@ from .rice import (
     rice_cost_matrix,
     rice_decode,
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
-    rice_decode_turbo,
     rice_decode_value,
     rice_encode,
     rice_encode_scalar,
@@ -94,22 +90,12 @@ from .rle import (
 )
 
 
-def __getattr__(name: str):
-    # Resolved through the registry on access (not snapshotted at package
-    # import) so `repro.coding.CODEC_NAMES` stays truthful after
-    # register_codec(); codec_names() is the explicit call-time view.
-    if name == "CODEC_NAMES":
-        return codec_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BitReader",
     "BitWriter",
     "CompressedImage",
     "LosslessWaveletCodec",
     "SubbandChunk",
-    "CODEC_NAMES",
     "CompressedBatch",
     "PipelineStats",
     "Stage",
@@ -120,7 +106,6 @@ __all__ = [
     "encode_pipeline",
     "max_dyadic_scales",
     "ENGINE_NAMES",
-    "TRANSFORM_ENGINE_NAMES",
     "CodecFamily",
     "CodecSpec",
     "UnknownCodecError",
@@ -145,7 +130,6 @@ __all__ = [
     "canonical_codes",
     "huffman_decode",
     "huffman_decode_scalar",
-    "huffman_decode_turbo",
     "huffman_encode",
     "huffman_encode_scalar",
     "flatten_pyramid",
@@ -157,9 +141,7 @@ __all__ = [
     "rice_cost_matrix",
     "rice_decode",
     "rice_decode_array",
-    "rice_decode_array_turbo",
     "rice_decode_scalar",
-    "rice_decode_turbo",
     "rice_decode_value",
     "rice_encode",
     "rice_encode_scalar",

@@ -41,7 +41,6 @@ from ..fxdwt.transform import FixedPointDWT, FixedPointPyramid
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
     rice_encode,
     rice_encode_scalar,
@@ -141,11 +140,10 @@ class LosslessWaveletCodec:
     plan:
         Optional word-length plan override for the underlying transform.
     engine:
-        Entropy-coding implementation tier: ``"fast"`` (vectorised),
-        ``"scalar"`` (the bit-by-bit reference) or ``"turbo"`` (prefix-LUT /
-        bit-window decoding; encoding reuses the fast encoders).  All tiers
-        produce byte-identical streams; any engine decodes any other's
-        output.  ``None`` (the default) resolves through
+        Entropy-coding implementation tier: ``"fast"`` (vectorised) or
+        ``"scalar"`` (the bit-by-bit reference).  Both produce
+        byte-identical streams; either engine decodes the other's output.
+        ``None`` (the default) resolves through
         :func:`repro.coding.spec.default_engine`.
     """
 
@@ -257,14 +255,11 @@ class LosslessWaveletCodec:
         return self.encode_pyramid(pyramid, image.shape)
 
     def _rice_encode(self, symbols: np.ndarray) -> bytes:
-        # The turbo tier is decode-side: its encoders are the fast ones.
         if self.engine == "scalar":
             return rice_encode_scalar(symbols)
         return rice_encode(symbols)
 
     def _rice_decode(self, payload: bytes) -> np.ndarray:
-        if self.engine == "turbo":
-            return rice_decode_array_turbo(payload)
         if self.engine == "fast":
             return rice_decode_array(payload)
         return np.asarray(rice_decode_scalar(payload), dtype=np.int64)
@@ -278,10 +273,10 @@ class LosslessWaveletCodec:
             # event kinds need no extra bitmap because a literal of value 0
             # never occurs (zeros always join runs), so a 0 in the run stream
             # unambiguously marks the next literal.
-            if self.engine == "scalar":
-                run_symbols, literals = events_to_arrays(rle_encode(flat))
-            else:
+            if self.engine == "fast":
                 run_symbols, literals = rle_encode_arrays(flat)
+            else:
+                run_symbols, literals = events_to_arrays(rle_encode(flat))
             payload = self._rice_encode(zigzag_encode(literals))
             run_payload = self._rice_encode(run_symbols)
             return SubbandChunk(
@@ -357,7 +352,7 @@ class LosslessWaveletCodec:
         if chunk.use_rle:
             run_symbols = self._rice_decode(chunk.run_payload)
             literals = zigzag_decode(self._rice_decode(chunk.payload))
-            if self.engine != "scalar":
+            if self.engine == "fast":
                 flat = rle_decode_arrays(run_symbols, literals)
             else:
                 events: List[RleEvent] = []

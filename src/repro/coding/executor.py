@@ -45,7 +45,7 @@ from .pipeline import (
     compress_frames,
     decompress_frames,
 )
-from .spec import CodecSpec, reject_spec_overrides
+from .spec import CodecSpec, spec_or_default
 
 __all__ = [
     "ParallelExecutor",
@@ -104,7 +104,7 @@ def _decompress_shard(
     spec: CodecSpec, streams: List
 ) -> Tuple[List[np.ndarray], PipelineStats]:
     """Worker entry point: serial-decode one shard's streams."""
-    return decompress_frames(CompressedBatch.from_spec(spec, streams))
+    return decompress_frames(CompressedBatch(spec, streams))
 
 
 def shard_indices(count: int, shards: int) -> List[List[int]]:
@@ -226,27 +226,26 @@ class ParallelExecutor:
         self,
         frames: Sequence[np.ndarray],
         spec: Optional[CodecSpec] = None,
-        **spec_kwargs,
     ) -> CompressedBatch:
-        """Compress a batch, sharded across the pool; byte-identical to serial."""
-        if spec is None:
-            spec = CodecSpec.from_kwargs(**spec_kwargs)
-        else:
-            reject_spec_overrides(spec_kwargs)
+        """Compress a batch, sharded across the pool; byte-identical to serial.
+
+        ``spec`` is the whole configuration (``None`` means ``CodecSpec()``).
+        """
+        spec = spec_or_default(spec)
         frames = [np.asarray(frame) for frame in frames]
         if self.workers == 1 or len(frames) <= 1:
             return compress_frames(frames, spec=spec)
         streams, stats = self._run_sharded(_compress_shard, spec, frames)
-        return CompressedBatch.from_spec(spec, streams, stats)
+        return CompressedBatch(spec, streams, stats)
 
     def decompress(
         self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
     ) -> Tuple[List[np.ndarray], PipelineStats]:
         """Decode a batch, sharded across the pool; bit-identical to serial."""
-        spec = spec if spec is not None else batch.resolved_spec()
+        spec = spec if spec is not None else batch.spec
         if self.workers == 1 or len(batch.streams) <= 1:
             if batch.spec != spec:
-                batch = CompressedBatch.from_spec(spec, batch.streams)
+                batch = CompressedBatch(spec, batch.streams)
             return decompress_frames(batch)
         frames, stats = self._run_sharded(_decompress_shard, spec, list(batch.streams))
         return frames, stats

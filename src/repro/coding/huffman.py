@@ -16,9 +16,9 @@ Like the Rice coder, the block coder has two wire-identical implementations:
 * :func:`huffman_encode` / :func:`huffman_decode` — vectorised: encoding
   gathers per-symbol (code, length) from lookup tables and expands them in
   one :func:`~repro.coding.fastbits.pack_uint_fields` call; decoding peeks
-  the maximum code length at every bit position, classifies each peek against
-  the canonical left-justified code boundaries, and follows the resulting
-  code-length successor map with :func:`~repro.coding.fastbits.orbit`.
+  the maximum code length at every bit position, resolves each peek through
+  a dense prefix table, and follows the resulting code-length successor map
+  with :func:`~repro.coding.fastbits.orbit`.
 * :func:`huffman_encode_scalar` / :func:`huffman_decode_scalar` — the
   original symbol-by-symbol reference implementations.
 """
@@ -39,7 +39,6 @@ from .fastbits import (
     pack_uint_fields,
     read_uint,
     read_uints,
-    unpack_bits,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "canonical_codes",
     "huffman_encode",
     "huffman_decode",
-    "huffman_decode_turbo",
     "huffman_encode_scalar",
     "huffman_decode_scalar",
 ]
@@ -222,79 +220,27 @@ def huffman_encode(symbols, code: HuffmanCode = None) -> bytes:
     return pack_bits(np.concatenate([header, payload]))
 
 
-def huffman_decode(data: bytes) -> List[int]:
-    """Inverse of :func:`huffman_encode` (table-driven, vectorised).
-
-    The decoder peeks ``max_length`` bits at *every* bit position, classifies
-    each peek against the canonical code boundaries (left-justified canonical
-    codes are strictly increasing, so one ``searchsorted`` finds the matching
-    code), and resolves the sequential symbol walk with :func:`orbit`.
-    """
-    bits = unpack_bits(data)
-    alphabet = read_uint(bits, 0, 16)
-    length_table = read_uints(bits, 16, alphabet, 5)
-    offset = 16 + 5 * alphabet
-    count = read_uint(bits, offset, 32)
-    offset += 32
-    if count == 0:
-        return []
-    lengths = {int(s): int(l) for s, l in enumerate(length_table) if l}
-    if not lengths:
-        raise ValueError("corrupt Huffman stream (no code table)")
-    codes = canonical_codes(lengths)
-    ordered = sorted(lengths.items(), key=lambda item: (item[1], item[0]))
-    symbols_sorted = np.asarray([s for s, _ in ordered], dtype=np.int64)
-    lengths_sorted = np.asarray([l for _, l in ordered], dtype=np.int64)
-    max_length = int(lengths_sorted[-1])
-    # Left-justified canonical codes: strictly increasing, first one is 0.
-    left_justified = np.asarray(
-        [codes[s][0] << (max_length - l) for s, l in ordered], dtype=np.int64
-    )
-    nbits = bits.size
-    usable = nbits - offset
-    if usable <= 0:
-        raise EOFError("bitstream exhausted")
-    # Peek max_length bits at every position in the payload region.
-    padded = np.concatenate([bits[offset:], np.zeros(max_length, dtype=np.uint8)])
-    peek = np.zeros(usable, dtype=np.int64)
-    for j in range(max_length):
-        peek = (peek << 1) | padded[j : j + usable]
-    entry = np.searchsorted(left_justified, peek, side="right") - 1
-    step = lengths_sorted[entry]
-    valid = (peek - left_justified[entry]) < (
-        np.int64(1) << (max_length - step)
-    )
-    successor = np.minimum(np.arange(usable, dtype=np.int64) + step, usable - 1)
-    positions = orbit(successor.astype(np.int32), 0, count)
-    if not valid[positions].all():
-        raise ValueError("corrupt Huffman stream (no code within 32 bits)")
-    steps = step[positions]
-    if count > 1 and np.any(np.diff(positions) != steps[:-1]):
-        raise EOFError("bitstream exhausted")
-    if int(positions[-1] + steps[-1]) > usable:
-        raise EOFError("bitstream exhausted")
-    return symbols_sorted[entry[positions]].tolist()
+#: Widest code the dense prefix table covers (2^L LUT entries); canonical
+#: codes longer than this decode through :func:`huffman_decode_scalar`.
+#: 16 bits is far beyond what the < 64-symbol category alphabets produce.
+_LUT_MAX_CODE_LENGTH = 16
 
 
-#: Widest code the turbo prefix table covers (2^L LUT entries); canonical
-#: codes longer than this fall back to :func:`huffman_decode`.  16 bits is
-#: far beyond what the < 64-symbol category alphabets ever produce.
-_TURBO_MAX_CODE_LENGTH = 16
+def huffman_decode(data) -> List[int]:
+    """Inverse of :func:`huffman_encode` (prefix-LUT, vectorised).
 
+    The decoder reads a 64-bit window at every payload bit position
+    (:func:`~repro.coding.fastbits.bit_windows64`) and resolves its leading
+    ``max_length`` bits through a dense ``2^max_length``-entry prefix table
+    built once per block (symbol, code length and validity per possible
+    peek), then follows the resulting code-length successor map with
+    :func:`~repro.coding.fastbits.orbit`.  Tables with codes wider than
+    16 bits fall back to :func:`huffman_decode_scalar`.  Accepts ``bytes``
+    or ``memoryview`` without copying the payload.
 
-def huffman_decode_turbo(data) -> List[int]:
-    """Inverse of :func:`huffman_encode` (prefix-LUT turbo tier).
-
-    Same stream contract as :func:`huffman_decode`, decoded roughly 2-3x
-    faster: instead of assembling a ``max_length``-bit peek with one shift/or
-    pass per bit and classifying it with ``searchsorted`` over the code
-    boundaries, the turbo tier reads a 64-bit window at every payload bit
-    position (:func:`~repro.coding.fastbits.bit_windows64`) and resolves it
-    through a dense ``2^max_length``-entry prefix table built once per block
-    (symbol, code length and validity per possible peek — the classification
-    collapses to three gathers).  The sequential walk is still
-    :func:`~repro.coding.fastbits.orbit`; accepts ``bytes`` or
-    ``memoryview`` without copying the payload.
+    Work and memory are bounded by the input size: a header count above
+    ``payload bits / shortest code length`` raises :class:`EOFError` before
+    anything count-sized is allocated.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     nbytes = raw.size
@@ -316,19 +262,18 @@ def huffman_decode_turbo(data) -> List[int]:
     if not lengths:
         raise ValueError("corrupt Huffman stream (no code table)")
     ordered = sorted(lengths.items(), key=lambda item: (item[1], item[0]))
+    usable = 8 * nbytes - offset
+    if count > usable // ordered[0][1]:
+        raise EOFError("bitstream exhausted")
     max_length = int(ordered[-1][1])
-    if max_length > _TURBO_MAX_CODE_LENGTH:
-        return huffman_decode(data)
+    if max_length > _LUT_MAX_CODE_LENGTH:
+        return huffman_decode_scalar(data)
     codes = canonical_codes(lengths)
     symbols_sorted = np.asarray([s for s, _ in ordered], dtype=np.int64)
     lengths_sorted = np.asarray([l for _, l in ordered], dtype=np.int64)
     left_justified = np.asarray(
         [codes[s][0] << (max_length - l) for s, l in ordered], dtype=np.int64
     )
-    nbits = 8 * nbytes
-    usable = nbits - offset
-    if usable <= 0:
-        raise EOFError("bitstream exhausted")
     # Dense prefix table over every possible max_length-bit peek.
     values = np.arange(1 << max_length, dtype=np.int64)
     entry_lut = np.searchsorted(left_justified, values, side="right") - 1
@@ -338,11 +283,10 @@ def huffman_decode_turbo(data) -> List[int]:
     )
     symbol_lut = symbols_sorted[entry_lut]
     # Peek max_length bits at every payload position via the 64-bit windows
-    # (zero-padded past the stream end, matching the fast decoder's
-    # zero-padded peek).  Bit position p = 8 * (p >> 3) + (p & 7) sees
-    # window (p >> 3) advanced by phase (p & 7), so eight scalar-shift
-    # passes — one per phase, interleaved by the reshape — cover every
-    # position without per-element shift amounts.
+    # (zero-padded past the stream end).  Bit position p = 8 * (p >> 3) +
+    # (p & 7) sees window (p >> 3) advanced by phase (p & 7), so eight
+    # scalar-shift passes — one per phase, interleaved by the reshape —
+    # cover every position without per-element shift amounts.
     windows = bit_windows64(raw)
     mask = np.uint64((1 << max_length) - 1)
     phased = np.empty((nbytes, 8), dtype=np.int32)

@@ -76,7 +76,7 @@ from .pipeline import (
     compress_frames,
     decompress_frames,
 )
-from .spec import CodecSpec, reject_spec_overrides
+from .spec import CodecSpec, spec_or_default
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -319,7 +319,7 @@ def _job_compress(payload: Dict) -> Dict:
 def _job_decompress(payload: Dict) -> Dict:
     """SUBMIT kind ``decompress``: serial-decode one stream shard."""
     frames, stats = decompress_frames(
-        CompressedBatch.from_spec(payload["spec"], payload["items"])
+        CompressedBatch(payload["spec"], payload["items"])
     )
     return {"items": frames, "stats": stats}
 
@@ -1076,27 +1076,26 @@ class SocketPoolExecutor:
         self,
         frames: Sequence[np.ndarray],
         spec: Optional[CodecSpec] = None,
-        **spec_kwargs,
     ) -> CompressedBatch:
-        """Compress a batch across the socket pool; byte-identical to serial."""
-        if spec is None:
-            spec = CodecSpec.from_kwargs(**spec_kwargs)
-        else:
-            reject_spec_overrides(spec_kwargs)
+        """Compress a batch across the socket pool; byte-identical to serial.
+
+        ``spec`` is the whole configuration (``None`` means ``CodecSpec()``).
+        """
+        spec = spec_or_default(spec)
         frames = [np.asarray(frame) for frame in frames]
         if not frames:
             return compress_frames(frames, spec=spec)
         streams, stats = self._run_sharded("compress", spec, frames)
-        return CompressedBatch.from_spec(spec, streams, stats)
+        return CompressedBatch(spec, streams, stats)
 
     def decompress(
         self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
     ) -> Tuple[List[np.ndarray], PipelineStats]:
         """Decode a batch across the socket pool; bit-identical to serial."""
-        spec = spec if spec is not None else batch.resolved_spec()
+        spec = spec if spec is not None else batch.spec
         if not batch.streams:
             if batch.spec != spec:
-                batch = CompressedBatch.from_spec(spec, batch.streams)
+                batch = CompressedBatch(spec, batch.streams)
             return decompress_frames(batch)
         return self._run_sharded("decompress", spec, list(batch.streams))
 

@@ -23,10 +23,6 @@ the convenience functions, a custom stage composition, or the multi-core
 convenience function shards the batch across a process pool and merges the
 per-stage stats; the streams are byte-identical to serial execution).
 
-The legacy keyword style (``codec=``, ``engine=``, ``transform=``,
-``transform_engine=``, ``**codec_options``) keeps working: both entry
-points funnel it through :meth:`CodecSpec.from_kwargs`.
-
 ``transform="accelerator"`` replaces the software transform with the
 cycle-accurate architecture model
 (:class:`~repro.arch.accelerator.DwtAccelerator`), giving a single batched
@@ -60,12 +56,11 @@ from ..arch.accelerator import AcceleratorRunReport, DwtAccelerator
 from ..filters.catalog import get_bank
 from .codec import CompressedImage, LosslessWaveletCodec
 from .s_transform import CompressedSImage
-from .spec import CodecSpec, codec_names, reject_spec_overrides
+from .spec import CodecSpec, spec_or_default
 
 __all__ = [
     "PipelineStats",
     "CompressedBatch",
-    "CODEC_NAMES",
     "TRANSFORMS",
     "ENCODE_STAGES",
     "DECODE_STAGES",
@@ -86,18 +81,6 @@ __all__ = [
     "resource_cache_info",
     "clear_resource_cache",
 ]
-
-def __getattr__(name: str):
-    # CODEC_NAMES is kept for backward compatibility as a module attribute;
-    # resolving it through the registry on access (instead of snapshotting a
-    # tuple at import time) keeps it truthful if a codec family is
-    # registered after this module was imported.  Note that
-    # ``from repro.coding.pipeline import CODEC_NAMES`` still binds the
-    # value current at that moment — use :func:`repro.coding.codec_names`
-    # for a call-time view.
-    if name == "CODEC_NAMES":
-        return codec_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Transform-stage back ends of the batched pipeline.
 TRANSFORMS = ("software", "accelerator")
@@ -205,50 +188,15 @@ class PipelineStats:
 class CompressedBatch:
     """Compressed representation of a batch of frames plus encode statistics.
 
-    ``spec`` is the full :class:`CodecSpec` the batch was produced with;
-    ``codec``/``engine``/``codec_options``/``transform`` mirror it for
-    backward compatibility with pre-spec call sites.
+    ``spec`` is the full :class:`CodecSpec` the batch was produced with.
     """
 
-    codec: str
-    engine: str
-    codec_options: Dict
+    spec: CodecSpec
     streams: List[Union[CompressedImage, CompressedSImage]]
-    stats: PipelineStats
-    transform: str = "software"
-    spec: Optional[CodecSpec] = None
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: CodecSpec,
-        streams: List[Union[CompressedImage, CompressedSImage]],
-        stats: Optional[PipelineStats] = None,
-    ) -> "CompressedBatch":
-        """Build a batch whose legacy mirror fields all derive from ``spec``."""
-        return cls(
-            codec=spec.codec,
-            engine=spec.engine,
-            codec_options=spec.codec_kwargs(),
-            streams=streams,
-            stats=stats if stats is not None else PipelineStats(),
-            transform=spec.transform,
-            spec=spec,
-        )
+    stats: PipelineStats = field(default_factory=PipelineStats)
 
     def __len__(self) -> int:
         return len(self.streams)
-
-    def resolved_spec(self) -> CodecSpec:
-        """The batch's spec, rebuilt from the legacy fields when unset."""
-        if self.spec is not None:
-            return self.spec
-        return CodecSpec.from_kwargs(
-            codec=self.codec,
-            engine=self.engine,
-            transform=self.transform,
-            **self.codec_options,
-        )
 
     @property
     def compressed_bytes(self) -> int:
@@ -561,40 +509,6 @@ def decode_pipeline() -> StagePipeline:
 # Batched entry points
 # ---------------------------------------------------------------------------
 
-def _resolve_spec(
-    spec: Optional[CodecSpec],
-    codec: Optional[str],
-    scales: Optional[int],
-    engine: Optional[str],
-    transform: Optional[str],
-    transform_engine: Optional[str],
-    codec_options: Dict,
-) -> CodecSpec:
-    if spec is not None:
-        # The legacy keywords all default to None so an explicit value is
-        # distinguishable — mixing them with spec= is rejected instead of
-        # silently losing the keyword.
-        reject_spec_overrides(
-            codec_options,
-            codec=codec,
-            scales=scales,
-            engine=engine,
-            transform=transform,
-            transform_engine=transform_engine,
-        )
-        return spec
-    return CodecSpec.from_kwargs(
-        codec=codec if codec is not None else "s-transform",
-        scales=scales if scales is not None else 4,
-        # None falls through to CodecSpec's default_engine() resolution
-        # (fast, unless REPRO_ENGINE forces a tier).
-        engine=engine,
-        transform=transform if transform is not None else "software",
-        transform_engine=transform_engine if transform_engine is not None else "fast",
-        **codec_options,
-    )
-
-
 def encode_frame(
     frame: np.ndarray,
     spec: CodecSpec,
@@ -631,14 +545,8 @@ def encode_frame(
 
 def compress_frames(
     frames: Sequence[np.ndarray],
-    codec: Optional[str] = None,
-    scales: Optional[int] = None,
-    engine: Optional[str] = None,
-    transform: Optional[str] = None,
-    transform_engine: Optional[str] = None,
     spec: Optional[CodecSpec] = None,
     workers: int = 1,
-    **codec_options,
 ) -> CompressedBatch:
     """Losslessly compress a batch of integer frames end to end.
 
@@ -646,14 +554,10 @@ def compress_frames(
     ``min(scales, deepest depth its geometry supports)``.  Per-stage
     wall-clock totals are accumulated in the returned batch's ``stats``.
 
-    The configuration is either a ready-made ``spec``
-    (:class:`~repro.coding.spec.CodecSpec`) or the legacy keywords, which
-    are folded into one via :meth:`CodecSpec.from_kwargs` (omitted
-    keywords mean s-transform codec, 4 scales, software transform and the
-    :func:`~repro.coding.spec.default_engine` entropy tier — ``fast``, or
-    ``scalar``/``turbo`` when ``REPRO_ENGINE`` forces one).  Passing
-    ``spec`` together with any explicit keyword is an error, never a
-    silent override.
+    The configuration is one :class:`~repro.coding.spec.CodecSpec`;
+    ``None`` means ``CodecSpec()`` (s-transform codec, 4 scales, software
+    transform and the :func:`~repro.coding.spec.default_engine` entropy
+    tier — ``fast``, or ``scalar`` when ``REPRO_ENGINE`` forces it).
 
     ``workers=N`` (N > 1) shards the batch across a process pool
     (:class:`~repro.coding.executor.ParallelExecutor`);
@@ -663,14 +567,13 @@ def compress_frames(
     Either way the streams are byte-identical to the serial run and
     ``stats.wall_seconds`` records the parallel elapsed time.
 
-    ``transform="accelerator"`` replaces the software transform stage with
-    the cycle-accurate accelerator model (``"coefficient"`` codec, square
-    frames); its per-frame run reports land in ``stats.accelerator_reports``
-    and the streams stay bit-identical to the software path.
+    A spec with ``transform="accelerator"`` replaces the software
+    transform stage with the cycle-accurate accelerator model
+    (``"coefficient"`` codec, square frames); its per-frame run reports
+    land in ``stats.accelerator_reports`` and the streams stay
+    bit-identical to the software path.
     """
-    spec = _resolve_spec(
-        spec, codec, scales, engine, transform, transform_engine, codec_options
-    )
+    spec = spec_or_default(spec)
     if workers != 1:
         from .executor import make_executor
 
@@ -681,7 +584,7 @@ def compress_frames(
     streams: List[Union[CompressedImage, CompressedSImage]] = [
         encode_frame(frame, spec, resources, stats, pipeline) for frame in frames
     ]
-    return CompressedBatch.from_spec(spec, streams, stats)
+    return CompressedBatch(spec, streams, stats)
 
 
 def decompress_frames(
@@ -701,14 +604,16 @@ def decompress_frames(
     bit-identical to the software transform).  ``workers=N`` decodes the
     batch through the process-pool executor.
     """
-    base = batch.resolved_spec()
-    spec = base.replace(
-        engine=engine or batch.engine,
-        transform=transform or batch.transform,
-        transform_engine=(
-            transform_engine if transform_engine is not None else base.transform_engine
-        ),
-    )
+    overrides = {
+        name: value
+        for name, value in (
+            ("engine", engine),
+            ("transform", transform),
+            ("transform_engine", transform_engine),
+        )
+        if value is not None
+    }
+    spec = batch.spec.replace(**overrides) if overrides else batch.spec
     if workers != 1:
         from .executor import make_executor
 

@@ -23,7 +23,7 @@ Both produce **byte-identical** streams; the wire format is
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,8 +44,6 @@ __all__ = [
     "rice_encode",
     "rice_decode",
     "rice_decode_array",
-    "rice_decode_array_turbo",
-    "rice_decode_turbo",
     "rice_encode_scalar",
     "rice_decode_scalar",
     "rice_code_length",
@@ -188,14 +186,26 @@ def _skipped_zero_counts(zero_positions: np.ndarray, k: int) -> np.ndarray:
     return skipped
 
 
-def rice_decode_array(data: bytes) -> np.ndarray:
+#: From this parameter up, remainders are read through 64-bit bit windows
+#: (two gathers per symbol) instead of one bit-plane pass per remainder bit.
+_WINDOW_MIN_K = 6
+
+
+def rice_decode_array(data) -> np.ndarray:
     """Vectorised inverse of :func:`rice_encode`, returning an ``int64`` array.
 
     The sequential "where does the next code start" dependency is solved on
     the stream's zero positions: zero ``j`` terminates a quotient, and the
     zero terminating the *next* quotient has index ``j + 1 + (zeros among the
     k remainder bits after j)`` — a successor map that :func:`orbit` follows
-    for all symbols at once.
+    for all symbols at once.  Remainders of ``k >= 6`` are read from 64-bit
+    bit windows (:func:`~repro.coding.fastbits.bit_windows64`) in one vector
+    expression; smaller parameters take ``k`` bit-plane passes, which are
+    cheaper there.  Accepts ``bytes`` or ``memoryview`` input.
+
+    Work and memory are bounded by the input size: every code takes at
+    least ``k + 1`` bits, so a header count the payload cannot hold raises
+    :class:`EOFError` before anything count-sized is allocated.
     """
     bits = unpack_bits(data)
     k = read_uint(bits, 0, 8)
@@ -206,7 +216,7 @@ def rice_decode_array(data: bytes) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     nbits = bits.size
     start = 40
-    if start >= nbits:
+    if count * (k + 1) > nbits - start:
         raise EOFError("bitstream exhausted")
     zero_positions = np.flatnonzero(bits == 0).astype(np.int32)
     nzeros = zero_positions.size
@@ -237,85 +247,7 @@ def rice_decode_array(data: bytes) -> np.ndarray:
         return quotients
     if int(terminators[-1]) + k >= nbits:
         raise EOFError("bitstream exhausted")
-    remainders = np.zeros(count, dtype=np.int64)
-    for plane in range(k):
-        remainders = (remainders << 1) | bits[terminators + 1 + plane]
-    return (quotients << k) | remainders
-
-
-#: Turbo switches the quotient-terminator scan from the per-distance compare
-#: loop (O(k) passes over the zeros) to one ones-cumsum plus two gathers
-#: once the parameter makes the loop the longer pass (the cumsum costs one
-#: pass over the *bits*, so small parameters stay on the compare loop).
-_TURBO_CUMSUM_MIN_K = 17
-#: Turbo reads remainders through 64-bit windows (two gathers) instead of
-#: one bit-plane pass per remainder bit from this parameter up.
-_TURBO_WINDOW_MIN_K = 6
-
-
-def rice_decode_array_turbo(data) -> np.ndarray:
-    """Inverse of :func:`rice_encode` (turbo tier, ``int64`` array result).
-
-    Byte-compatible with :func:`rice_decode_array` but parameter-adaptive:
-    for large ``k`` the quotient terminators are located with a single
-    cumulative count of zeros over the whole stream (``skipped[j]`` becomes a
-    difference of two cumsum gathers, independent of ``k``), and the ``k``
-    remainder bits of every symbol are extracted from 64-bit bit windows
-    (:func:`~repro.coding.fastbits.bit_windows64`) in one vector expression
-    instead of one bit-plane pass per bit.  Small parameters keep the fast
-    tier's passes, which are cheaper there.  Accepts ``bytes`` or
-    ``memoryview`` input.
-    """
-    bits = unpack_bits(data)
-    k = read_uint(bits, 0, 8)
-    count = read_uint(bits, 8, 32)
-    if not 0 <= k <= MAX_RICE_PARAMETER:
-        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    nbits = bits.size
-    start = 40
-    if start >= nbits:
-        raise EOFError("bitstream exhausted")
-    zero_positions = np.flatnonzero(bits == 0).astype(np.int32)
-    nzeros = zero_positions.size
-    first = int(np.searchsorted(zero_positions, start))
-    if first >= nzeros:
-        raise EOFError("bitstream exhausted")
-    if k == 0:
-        terminator_idx = first + np.arange(count, dtype=np.int64)
-        if int(terminator_idx[-1]) >= nzeros:
-            raise EOFError("bitstream exhausted")
-    else:
-        if k < _TURBO_CUMSUM_MIN_K:
-            skipped = _skipped_zero_counts(zero_positions, k)
-        else:
-            # The zeros skipped after zero j are the zeros in
-            # (position[j], position[j] + k]: window length minus the ones
-            # in it, off one cumulative count of the stream's one bits —
-            # one pass over the bits regardless of k, where the compare
-            # loop above takes k passes over the zeros.
-            ones_up_to = np.cumsum(bits, dtype=np.int32)
-            window_end = np.minimum(zero_positions + np.int32(k), np.int32(nbits - 1))
-            skipped = (window_end - zero_positions) - (
-                ones_up_to[window_end] - ones_up_to[zero_positions]
-            )
-        successor = np.minimum(
-            np.arange(1, nzeros + 1, dtype=np.int32) + skipped, nzeros - 1
-        )
-        terminator_idx = orbit(successor, first, count)
-        if count > 1 and np.any(np.diff(terminator_idx) <= 0):
-            raise EOFError("bitstream exhausted")
-    terminators = zero_positions[terminator_idx].astype(np.int64)
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = start
-    starts[1:] = terminators[:-1] + 1 + k
-    quotients = terminators - starts
-    if k == 0:
-        return quotients
-    if int(terminators[-1]) + k >= nbits:
-        raise EOFError("bitstream exhausted")
-    if k >= _TURBO_WINDOW_MIN_K:
+    if k >= _WINDOW_MIN_K:
         windows = bit_windows64(data)
         remainder_pos = terminators + 1
         remainders = (
@@ -329,12 +261,7 @@ def rice_decode_array_turbo(data) -> np.ndarray:
     return (quotients << k) | remainders
 
 
-def rice_decode_turbo(data) -> List[int]:
-    """Inverse of :func:`rice_encode` (turbo tier, list-of-int API)."""
-    return rice_decode_array_turbo(data).tolist()
-
-
-def rice_decode(data: bytes) -> List[int]:
+def rice_decode(data) -> List[int]:
     """Inverse of :func:`rice_encode` (list-of-int API)."""
     return rice_decode_array(data).tolist()
 

@@ -33,7 +33,6 @@ import numpy as np
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
     rice_encode,
     rice_encode_scalar,
@@ -212,10 +211,9 @@ class STransformCodec:
     """Compressive lossless codec: integer S-transform + zig-zag + Rice.
 
     ``engine`` selects the entropy-coding implementation tier: ``"fast"``
-    (the vectorised :mod:`repro.coding.fastbits`-based coder), ``"scalar"``
-    (the bit-by-bit reference) or ``"turbo"`` (bit-window decoding; encoding
-    reuses the fast encoders).  All tiers produce byte-identical streams;
-    any engine decodes any other's output.  ``None`` (the default) resolves
+    (the vectorised :mod:`repro.coding.fastbits`-based coder) or
+    ``"scalar"`` (the bit-by-bit reference).  Both produce byte-identical
+    streams; either engine decodes the other's output.  ``None`` (the default) resolves
     through :func:`repro.coding.spec.default_engine`.
     """
 
@@ -343,8 +341,7 @@ class STransformCodec:
     ) -> None:
         flat = np.asarray(band, dtype=np.int64).ravel()
         symbols = zigzag_encode(flat)
-        # The turbo tier is decode-side: its encoder is the fast one.
-        encode = rice_encode_scalar if self.engine == "scalar" else rice_encode
+        encode = rice_encode if self.engine == "fast" else rice_encode_scalar
         compressed.chunks[(kind, scale)] = encode(symbols)
         compressed.shapes[(kind, scale)] = (int(band.shape[0]), int(band.shape[1]))
 
@@ -356,9 +353,7 @@ class STransformCodec:
             shape = compressed.shapes[(kind, scale)]
         except KeyError as exc:
             raise KeyError(f"compressed stream has no subband {kind}@{scale}") from exc
-        if self.engine == "turbo":
-            symbols = rice_decode_array_turbo(payload)
-        elif self.engine == "fast":
+        if self.engine == "fast":
             symbols = rice_decode_array(payload)
         else:
             symbols = np.asarray(rice_decode_scalar(payload), dtype=np.int64)

@@ -20,9 +20,10 @@ pipeline (:mod:`repro.coding.pipeline`) compresses with it, the parallel
 executor (:mod:`repro.coding.executor`) ships it to worker processes, the
 archive container (:mod:`repro.archive`) stores and reconstructs it per
 frame, and the accelerator model builds itself from it
-(:meth:`repro.arch.accelerator.DwtAccelerator.from_spec`).  The old
-keyword signatures keep working through :meth:`CodecSpec.from_kwargs`,
-the compatibility shim every public entry point funnels through.
+(:meth:`repro.arch.accelerator.DwtAccelerator.from_spec`).  Every
+compressing entry point takes its configuration as ``spec=`` and nothing
+else, so this module alone decides which configurations and engine tiers
+exist.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from ..filters.qmf import BiorthogonalBank
 
 __all__ = [
     "ENGINE_NAMES",
-    "TRANSFORM_ENGINE_NAMES",
     "TRANSFORM_NAMES",
     "default_engine",
     "UnknownCodecError",
@@ -46,20 +46,15 @@ __all__ = [
     "family_for_stream",
     "codec_names",
     "codec_wire_ids",
-    "reject_spec_overrides",
     "CodecSpec",
+    "spec_or_default",
 ]
 
-#: Entropy-coding engine tiers every codec ships: ``"fast"`` (vectorised
-#: NumPy), ``"scalar"`` (bit-by-bit reference) and ``"turbo"`` (prefix-LUT /
-#: bit-window decode; encoding reuses the fast encoders).  All tiers are
-#: byte-identical on the wire.
-ENGINE_NAMES = ("fast", "scalar", "turbo")
-
-#: Accelerator engine implementations (:data:`repro.arch.accelerator.ENGINES`);
-#: the architecture model has no turbo tier, so ``transform_engine`` is
-#: validated against this narrower set.
-TRANSFORM_ENGINE_NAMES = ("fast", "scalar")
+#: Engine tiers every codec and the accelerator model
+#: (:data:`repro.arch.accelerator.ENGINES`) ship: ``"fast"`` (vectorised
+#: NumPy) and ``"scalar"`` (the bit-by-bit, paper-faithful reference).
+#: Both are byte-identical on the wire.
+ENGINE_NAMES = ("fast", "scalar")
 
 #: Transform-stage back ends of the pipeline.
 TRANSFORM_NAMES = ("software", "accelerator")
@@ -146,24 +141,6 @@ def codec_wire_ids() -> Dict[str, int]:
     return {name: family.wire_id for name, family in _REGISTRY.items()}
 
 
-def reject_spec_overrides(codec_options: Mapping[str, Any], **named: Any) -> None:
-    """Raise if any legacy keyword was passed next to an explicit spec.
-
-    Entry points that accept both a ready-made :class:`CodecSpec` and the
-    legacy keyword style give the keywords ``None`` defaults and call this
-    when a spec was supplied: any keyword that is not ``None`` (plus any
-    ``**codec_options``) is rejected loudly instead of being silently
-    ignored in favour of the spec.
-    """
-    explicit = {name: value for name, value in named.items() if value is not None}
-    explicit.update(codec_options)
-    if explicit:
-        raise ValueError(
-            "pass configuration either as a CodecSpec or as keywords, "
-            f"not both (got spec= and {sorted(explicit)})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
@@ -207,12 +184,10 @@ _register_builtin_families()
 # CodecSpec
 # ---------------------------------------------------------------------------
 
-def _check_engine(
-    label: str, engine: str, allowed: Tuple[str, ...] = ENGINE_NAMES
-) -> None:
-    if engine not in allowed:
+def _check_engine(label: str, engine: str) -> None:
+    if engine not in ENGINE_NAMES:
         raise ValueError(
-            f"unknown {label} {engine!r} (expected one of {allowed})"
+            f"unknown {label} {engine!r} (expected one of {ENGINE_NAMES})"
         )
 
 
@@ -228,8 +203,8 @@ class CodecSpec:
         Requested decomposition depth (clamped per frame by the pipeline to
         what each frame's geometry supports).
     engine:
-        Entropy-coding engine tier, ``"fast"``, ``"scalar"`` or ``"turbo"``
-        (all byte-identical on the wire).  ``None`` (the default) resolves
+        Entropy-coding engine tier, ``"fast"`` or ``"scalar"`` (both
+        byte-identical on the wire).  ``None`` (the default) resolves
         through :func:`default_engine`, i.e. ``"fast"`` unless the
         ``REPRO_ENGINE`` environment variable forces a tier.
     transform:
@@ -237,8 +212,7 @@ class CodecSpec:
         only for families with ``supports_accelerator``).
     transform_engine:
         Accelerator engine when ``transform="accelerator"`` — ``"fast"`` or
-        ``"scalar"`` only (:data:`TRANSFORM_ENGINE_NAMES`); the architecture
-        model has no turbo tier.
+        ``"scalar"`` (:data:`ENGINE_NAMES`).
     bit_depth:
         Input image bit depth.
     bank:
@@ -281,7 +255,7 @@ class CodecSpec:
         if self.engine is None:
             object.__setattr__(self, "engine", default_engine())
         _check_engine("engine", self.engine)
-        _check_engine("transform_engine", self.transform_engine, TRANSFORM_ENGINE_NAMES)
+        _check_engine("transform_engine", self.transform_engine)
         if self.transform not in TRANSFORM_NAMES:
             raise ValueError(
                 f"unknown transform {self.transform!r} "
@@ -374,65 +348,12 @@ class CodecSpec:
         """The same configuration at a different decomposition depth."""
         return self if scales == self.scales else self.replace(scales=scales)
 
-    def replace_options(self, **codec_options: Any) -> "CodecSpec":
-        """Apply legacy codec-option keywords on top of this spec.
-
-        Routes the spec-field options (``bit_depth``/``bank``/``use_rle``)
-        to their fields and everything else into ``extras`` — the same
-        split :meth:`from_kwargs` performs, kept in one place so inherit-
-        and-override paths (e.g. ``ArchiveWriter.append``) cannot drift.
-        """
-        known = {
-            name: codec_options.pop(name)
-            for name in ("bit_depth", "bank", "use_rle")
-            if name in codec_options
-        }
-        if codec_options:
-            merged = dict(self.extras)
-            merged.update(codec_options)
-            known["extras"] = tuple(sorted(merged.items()))
-        return self.replace(**known) if known else self
-
     def build_codec(self, scales: Optional[int] = None):
         """Instantiate the configured codec (at ``scales`` if given)."""
         return self.family.factory(
             scales=self.scales if scales is None else scales,
             engine=self.engine,
             **self.codec_kwargs(),
-        )
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        codec: str = "s-transform",
-        scales: int = 4,
-        engine: Optional[str] = None,
-        transform: str = "software",
-        transform_engine: str = "fast",
-        **codec_options: Any,
-    ) -> "CodecSpec":
-        """Compatibility shim: build a spec from the legacy keyword style.
-
-        This is the exact signature :func:`~repro.coding.pipeline.compress_frames`
-        and :meth:`~repro.archive.writer.ArchiveWriter.create` used to take,
-        so existing call sites keep working unchanged.
-        """
-        options = dict(codec_options)
-        known = {
-            name: options.pop(name)
-            for name in ("bit_depth", "bank", "use_rle")
-            if name in options
-        }
-        return cls(
-            codec=codec,
-            scales=scales,
-            engine=engine,
-            transform=transform,
-            transform_engine=transform_engine,
-            bit_depth=known.get("bit_depth", 12),
-            bank=known.get("bank"),
-            use_rle=known.get("use_rle"),
-            extras=tuple(sorted(options.items())),
         )
 
     @classmethod
@@ -467,12 +388,18 @@ class CodecSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CodecSpec":
+        """Inverse of :meth:`to_dict`.
+
+        Specs stored before the decode-only ``"turbo"`` tier was folded
+        into ``"fast"`` still say ``engine: "turbo"``; they read as fast.
+        """
         data = dict(data)
         options = data.pop("options", {}) or {}
+        engine = data.get("engine", "fast")
         return cls(
             codec=data.get("codec", "s-transform"),
             scales=data.get("scales", 4),
-            engine=data.get("engine", "fast"),
+            engine="fast" if engine == "turbo" else engine,
             transform=data.get("transform", "software"),
             transform_engine=data.get("transform_engine", "fast"),
             bit_depth=data.get("bit_depth", 12),
@@ -506,3 +433,17 @@ class CodecSpec:
         for name, value in self.extras:
             parts.append(f"{name}={value!r}")
         return " ".join(parts)
+
+
+def spec_or_default(spec: Optional[CodecSpec]) -> CodecSpec:
+    """The configuration an entry point's ``spec=`` argument names.
+
+    ``None`` means the default :class:`CodecSpec`; anything that is not a
+    spec (e.g. a codec name passed where the spec goes) is a
+    :class:`TypeError`.
+    """
+    if spec is None:
+        return CodecSpec()
+    if not isinstance(spec, CodecSpec):
+        raise TypeError(f"spec must be a CodecSpec, got {type(spec).__name__}")
+    return spec

@@ -92,10 +92,10 @@ def verify_lossless_batch(
     frame plus the pipeline's per-stage decode statistics.
     """
     from ..coding.pipeline import compress_frames, decompress_frames
+    from ..coding.spec import CodecSpec
 
-    batch = compress_frames(
-        images, codec="coefficient", scales=scales, engine=engine, bank=bank_name
-    )
+    spec = CodecSpec(codec="coefficient", scales=scales, engine=engine, bank=bank_name)
+    batch = compress_frames(images, spec=spec)
     decoded, stats = decompress_frames(batch)
     plans: Dict[int, WordLengthPlan] = {}
     reports: List[LosslessReport] = []

@@ -16,6 +16,7 @@ from repro.archive import ArchiveHTTPServer, ArchiveService, ArchiveWriter
 from repro.archive.replication import ReplicatedShardSet
 from repro.archive.server import encode_ingest_record
 from repro.archive.sharding import ShardedArchiveWriter
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 
@@ -29,19 +30,24 @@ def series(count=9, size=32, seed=5):
 
 
 def build_plain(path, frames, scales=2):
-    with ArchiveWriter.create(path, scales=scales) as writer:
+    with ArchiveWriter.create(path, spec=CodecSpec(scales=scales)) as writer:
         writer.append_batch(list(frames.values()), names=list(frames))
     return path
 
 def build_sharded(path, frames, shards=3, scales=2):
-    with ShardedArchiveWriter.create(path, shards=shards, scales=scales) as writer:
+    with ShardedArchiveWriter.create(
+        path, spec=CodecSpec(scales=scales), shards=shards
+    ) as writer:
         writer.append_batch(list(frames.values()), names=list(frames))
     return path
 
 
 def build_replicated(path, frames, shards=4, replicas=1, scales=2):
     with ReplicatedShardSet.create(
-        path, shards=shards, replicas=replicas, scales=scales
+        path,
+        spec=CodecSpec(scales=scales),
+        shards=shards,
+        replicas=replicas,
     ) as writer:
         writer.append_batch(list(frames.values()), names=list(frames))
     return path

@@ -5,6 +5,7 @@ import pytest
 
 from repro.archive import ArchiveReader, ArchiveWriter
 from repro.coding import compress_frames
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series, random_image, shepp_logan
 
 pytestmark = pytest.mark.archive
@@ -20,8 +21,10 @@ def _mixed_frames(count=32, seed=0):
 def mixed_archive(tmp_path_factory):
     frames = _mixed_frames()
     path = tmp_path_factory.mktemp("archive") / "mixed.dwta"
-    with ArchiveWriter.create(path, codec="s-transform", scales=4) as writer:
-        writer.add_frames(frames)
+    with ArchiveWriter.create(
+        path, spec=CodecSpec(codec="s-transform", scales=4)
+    ) as writer:
+        writer.append_batch(frames)
     return path, frames
 
 
@@ -88,7 +91,7 @@ class TestCornerCases:
         path = tmp_path / "one.dwta"
         image = shepp_logan(64)
         with ArchiveWriter.create(path) as writer:
-            writer.add_frames([image], names=["only"])
+            writer.append_batch([image], names=["only"])
         with ArchiveReader(path) as reader:
             assert reader.names() == ["only"]
             assert np.array_equal(reader.decode("only"), image)
@@ -98,13 +101,13 @@ class TestCornerCases:
         first = ct_slice_series(count=3, size=64, seed=1)
         second = ct_slice_series(count=2, size=64, seed=2)
         with ArchiveWriter.create(path) as writer:
-            writer.add_frames(first)
+            writer.append_batch(first)
         size_after_create = path.stat().st_size
         with ArchiveWriter.append(path) as writer:
             # Config (codec, scales, bit depth) is inherited from the archive.
-            assert writer.codec == "s-transform"
-            assert writer.codec_options["bit_depth"] == 12
-            writer.add_frames(second, names=["extra_0", "extra_1"])
+            assert writer.spec.codec == "s-transform"
+            assert writer.spec.bit_depth == 12
+            writer.append_batch(second, names=["extra_0", "extra_1"])
         assert path.stat().st_size > size_after_create
         with ArchiveReader(path) as reader:
             assert len(reader) == 5
@@ -116,16 +119,16 @@ class TestCornerCases:
         with ArchiveWriter.create(path):
             pass
         with ArchiveWriter.append(path) as writer:
-            writer.add_frames([shepp_logan(32)])
+            writer.append_batch([shepp_logan(32)])
         with ArchiveReader(path) as reader:
             assert len(reader) == 1
 
     def test_duplicate_name_rejected(self, tmp_path):
         path = tmp_path / "dup.dwta"
         with ArchiveWriter.create(path) as writer:
-            writer.add_frames([shepp_logan(32)], names=["a"])
+            writer.append_batch([shepp_logan(32)], names=["a"])
             with pytest.raises(ValueError, match="already has a frame named"):
-                writer.add_frames([shepp_logan(32)], names=["a"])
+                writer.append_batch([shepp_logan(32)], names=["a"])
 
     def test_create_refuses_to_clobber(self, tmp_path):
         path = tmp_path / "exists.dwta"
@@ -134,15 +137,18 @@ class TestCornerCases:
         with pytest.raises(FileExistsError):
             ArchiveWriter.create(path)
         with ArchiveWriter.create(path, overwrite=True) as writer:
-            writer.add_frames([shepp_logan(32)])
+            writer.append_batch([shepp_logan(32)])
         with ArchiveReader(path) as reader:
             assert len(reader) == 1
 
     def test_coefficient_codec_archive(self, tmp_path):
         path = tmp_path / "coeff.dwta"
         image = shepp_logan(64)
-        with ArchiveWriter.create(path, codec="coefficient", bank="F4", scales=3) as writer:
-            writer.add_frames([image])
+        with ArchiveWriter.create(
+            path,
+            spec=CodecSpec(codec="coefficient", bank="F4", scales=3),
+        ) as writer:
+            writer.append_batch([image])
         with ArchiveReader(path) as reader:
             entry = reader.frames[0]
             assert entry.codec == "coefficient"
@@ -154,7 +160,7 @@ class TestCornerCases:
         """compress_frames output archives directly, stats carried over."""
         path = tmp_path / "batch.dwta"
         frames = _mixed_frames(count=4)
-        batch = compress_frames(frames, codec="s-transform", scales=4)
+        batch = compress_frames(frames, spec=CodecSpec(codec="s-transform", scales=4))
         with ArchiveWriter.create(path) as writer:
             writer.add_batch(batch, names=["a", "b", "c", "d"])
             assert writer.stats.frames == 4
@@ -164,8 +170,14 @@ class TestCornerCases:
                 assert np.array_equal(reader.decode(name), original)
 
     def test_add_batch_codec_mismatch(self, tmp_path):
-        batch = compress_frames([shepp_logan(32)], codec="s-transform", scales=2)
-        with ArchiveWriter.create(tmp_path / "x.dwta", codec="coefficient") as writer:
+        batch = compress_frames(
+            [shepp_logan(32)],
+            spec=CodecSpec(codec="s-transform", scales=2),
+        )
+        with ArchiveWriter.create(
+            tmp_path / "x.dwta",
+            spec=CodecSpec(codec="coefficient"),
+        ) as writer:
             with pytest.raises(ValueError, match="configured for"):
                 writer.add_batch(batch)
 

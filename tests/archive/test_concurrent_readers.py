@@ -16,6 +16,7 @@ from repro.archive import (
     ShardedArchiveWriter,
 )
 from repro.archive.format import HEADER_SIZE
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -32,7 +33,9 @@ def names_for(count):
 def busy_set(tmp_path):
     frames = ct_slice_series(count=16, size=32, seed=13)
     path = tmp_path / "busy.dwts"
-    with ReplicatedShardSet.create(path, shards=4, replicas=1, scales=2) as writer:
+    with ReplicatedShardSet.create(
+        path, spec=CodecSpec(scales=2), shards=4, replicas=1
+    ) as writer:
         writer.append_batch(frames, names=names_for(16))
     return path, frames
 
@@ -116,7 +119,9 @@ class TestConcurrentReaders:
     def test_unreplicated_set_is_thread_safe_too(self, tmp_path):
         frames = ct_slice_series(count=16, size=32, seed=13)
         path = tmp_path / "bare.dwts"
-        with ShardedArchiveWriter.create(path, shards=4, scales=2) as writer:
+        with ShardedArchiveWriter.create(
+            path, spec=CodecSpec(scales=2), shards=4
+        ) as writer:
             writer.append_batch(frames, names=names_for(16))
         with ShardedArchiveReader(path) as reader:
             with ThreadPoolExecutor(max_workers=THREADS) as pool:

@@ -20,7 +20,7 @@ pytestmark = pytest.mark.archive
 def archive(tmp_path):
     path = tmp_path / "victim.dwta"
     with ArchiveWriter.create(path) as writer:
-        writer.add_frames(ct_slice_series(count=3, size=32, seed=5))
+        writer.append_batch(ct_slice_series(count=3, size=32, seed=5))
     return path
 
 
@@ -48,7 +48,7 @@ def test_truncated_index(tmp_path, archive):
 def test_unfinalised_archive_detected(tmp_path):
     path = tmp_path / "crashed.dwta"
     writer = ArchiveWriter.create(path)
-    writer.add_frames(ct_slice_series(count=1, size=32))
+    writer.append_batch(ct_slice_series(count=1, size=32))
     writer._fh.flush()  # simulate a crash: payload on disk, no close()
     with pytest.raises(ArchiveFormatError, match="never finalised"):
         ArchiveReader(path)
@@ -62,7 +62,7 @@ def test_crash_during_append_preserves_old_archive(archive):
     with ArchiveReader(archive) as reader:
         before = reader.decode_range(0)
     writer = ArchiveWriter.append(archive)
-    writer.add_frames(ct_slice_series(count=1, size=32, seed=8), names=["doomed"])
+    writer.append_batch(ct_slice_series(count=1, size=32, seed=8), names=["doomed"])
     writer._fh.flush()  # simulate a crash: payload on disk, no close()
     with ArchiveReader(archive) as reader:  # still the pre-append archive
         assert reader.names() == ["frame_00000", "frame_00001", "frame_00002"]

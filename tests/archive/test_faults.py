@@ -17,6 +17,7 @@ from repro.archive import (
     TruncatedArchiveError,
     seeded_fault_plan,
 )
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -129,8 +130,8 @@ class TestFaultValidation:
 def small_archive(tmp_path):
     path = tmp_path / "faulty.dwta"
     frames = ct_slice_series(count=3, size=32, seed=2)
-    with ArchiveWriter.create(path, scales=2) as writer:
-        writer.add_frames(frames, names=["a", "b", "c"])
+    with ArchiveWriter.create(path, spec=CodecSpec(scales=2)) as writer:
+        writer.append_batch(frames, names=["a", "b", "c"])
     return path, frames
 
 
@@ -288,14 +289,9 @@ class TestSeededPlans:
 
 class TestMidSessionDisappearance:
     """A path that existed and then vanished is archive damage, not a
-    configuration mistake: it must surface as ``ArchiveTruncatedError``
-    (alias of ``TruncatedArchiveError``) so the retry → failover → 503
-    ladder handles it — never as a raw ``FileNotFoundError``."""
-
-    def test_alias_names_the_same_class(self):
-        from repro.archive import ArchiveTruncatedError
-
-        assert ArchiveTruncatedError is TruncatedArchiveError
+    configuration mistake: it must surface as ``TruncatedArchiveError`` so
+    the retry → failover → 503 ladder handles it — never as a raw
+    ``FileNotFoundError``."""
 
     def test_open_archive_on_vanished_path(self, small_archive):
         """The file exists when its magic is probed, then disappears before
@@ -328,7 +324,9 @@ class TestMidSessionDisappearance:
 
         frames = ct_slice_series(count=8, size=32, seed=4)
         path = tmp_path / "bare.dwts"
-        with ShardedArchiveWriter.create(path, shards=3, scales=2) as writer:
+        with ShardedArchiveWriter.create(
+            path, spec=CodecSpec(scales=2), shards=3
+        ) as writer:
             writer.append_batch(frames, names=[f"s{i}" for i in range(8)])
         with ShardedArchiveReader(path) as reader:
             victim_shard = reader.router.route("s0")
@@ -345,7 +343,12 @@ class TestMidSessionDisappearance:
 
         frames = ct_slice_series(count=8, size=32, seed=4)
         path = tmp_path / "healer.dwts"
-        with ReplicatedShardSet.create(path, shards=3, replicas=1, scales=2) as writer:
+        with ReplicatedShardSet.create(
+            path,
+            spec=CodecSpec(scales=2),
+            shards=3,
+            replicas=1,
+        ) as writer:
             writer.append_batch(frames, names=[f"s{i}" for i in range(8)])
         with ShardedArchiveReader(path) as reader:
             victim_shard = reader.router.route("s0")
@@ -458,7 +461,9 @@ class TestSubbandMajorTruncationSweep:
 
         path = tmp_path / "prog.dwta"
         with ArchiveWriter.create(
-            path, scales=3, layout=LAYOUT_SUBBAND_MAJOR
+            path,
+            spec=CodecSpec(scales=3),
+            layout=LAYOUT_SUBBAND_MAJOR,
         ) as writer:
             writer.append_batch([shepp_logan(64)], names=["frame"])
         with ArchiveReader(path) as clean:

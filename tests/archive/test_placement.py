@@ -76,7 +76,10 @@ def build_set(tmp_path, label, placement=None, workers=None, shards=2, frames=No
     frames = series() if frames is None else frames
     path = tmp_path / f"{label}.dwts"
     with ShardedArchiveWriter.create(
-        path, shards=shards, scales=2, placement=placement
+        path,
+        spec=CodecSpec(scales=2),
+        shards=shards,
+        placement=placement,
     ) as writer:
         writer.append_batch(frames, names=names_for(len(frames)), workers=workers)
         hits, fallbacks = writer.placement_hits, writer.placement_fallbacks
@@ -283,7 +286,7 @@ class TestPlacedVerify:
 
         frames = series()
         path = tmp_path / "plain.dwta"
-        with ArchiveWriter.create(path, scales=2) as writer:
+        with ArchiveWriter.create(path, spec=CodecSpec(scales=2)) as writer:
             writer.append_batch(frames, names=names_for(len(frames)))
         with ArchiveReader(path) as reader:
             report = reader.verify(deep=True, workers=",".join(addresses))
@@ -295,7 +298,11 @@ class TestPlacedVerify:
         names = shard_file_names(path, 2)
         placement = assign_round_robin(names, ["node0", "node1"])
         with ReplicatedShardSet.create(
-            path, shards=2, replicas=1, scales=2, placement=placement
+            path,
+            spec=CodecSpec(scales=2),
+            shards=2,
+            replicas=1,
+            placement=placement,
         ) as writer:
             writer.append_batch(frames, names=names_for(len(frames)))
         with ShardedArchiveReader(path) as reader:
@@ -378,7 +385,10 @@ class TestServerPlacement:
         names = shard_file_names(path, 2)
         placement = assign_round_robin(names, ["node0", "node1"])
         with ShardedArchiveWriter.create(
-            path, shards=2, scales=2, placement=placement
+            path,
+            spec=CodecSpec(scales=2),
+            shards=2,
+            placement=placement,
         ) as writer:
             writer.append_batch(list(frames.values()), names=list(frames))
 

@@ -23,6 +23,7 @@ from repro.archive import (
 )
 from repro.archive.format import HEADER_SIZE, pack_manifest, unpack_manifest
 from repro.archive.ingest import ingest_frames
+from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
 pytestmark = pytest.mark.archive
@@ -52,7 +53,9 @@ def assert_copies_identical(path):
 def replicated_set(tmp_path):
     frames = ct_slice_series(count=9, size=32, seed=5)
     path = tmp_path / "healer.dwts"
-    with ReplicatedShardSet.create(path, shards=4, replicas=1, scales=2) as writer:
+    with ReplicatedShardSet.create(
+        path, spec=CodecSpec(scales=2), shards=4, replicas=1
+    ) as writer:
         writer.append_batch(frames, names=names_for(9))
     return path, frames
 
@@ -121,7 +124,12 @@ class TestWriteFanOut:
         serial = tmp_path / "serial.dwts"
         pooled = tmp_path / "pooled.dwts"
         for path, workers in ((serial, 1), (pooled, 3)):
-            with ReplicatedShardSet.create(path, shards=3, replicas=1, scales=2) as writer:
+            with ReplicatedShardSet.create(
+                path,
+                spec=CodecSpec(scales=2),
+                shards=3,
+                replicas=1,
+            ) as writer:
                 writer.append_batch(frames, names=names_for(8), workers=workers)
             assert_copies_identical(path)
         for a, b in zip(copy_files(serial), copy_files(pooled)):
@@ -143,12 +151,22 @@ class TestWriteFanOut:
         frames = ct_slice_series(count=6, size=32, seed=4)
         streamed = tmp_path / "streamed.dwts"
         batched = tmp_path / "batched.dwts"
-        with ReplicatedShardSet.create(streamed, shards=2, replicas=1, scales=2) as writer:
+        with ReplicatedShardSet.create(
+            streamed,
+            spec=CodecSpec(scales=2),
+            shards=2,
+            replicas=1,
+        ) as writer:
             report = ingest_frames(
                 writer, zip(names_for(6), frames), queue_depth=2
             )
             assert report.frames == 6
-        with ReplicatedShardSet.create(batched, shards=2, replicas=1, scales=2) as writer:
+        with ReplicatedShardSet.create(
+            batched,
+            spec=CodecSpec(scales=2),
+            shards=2,
+            replicas=1,
+        ) as writer:
             writer.append_batch(frames, names=names_for(6))
         assert_copies_identical(streamed)
         for a, b in zip(copy_files(streamed), copy_files(batched)):
@@ -238,7 +256,9 @@ class TestReadFailover:
     def test_unreplicated_set_still_raises(self, tmp_path):
         frames = ct_slice_series(count=6, size=32, seed=5)
         path = tmp_path / "bare.dwts"
-        with ShardedArchiveWriter.create(path, shards=2, scales=2) as writer:
+        with ShardedArchiveWriter.create(
+            path, spec=CodecSpec(scales=2), shards=2
+        ) as writer:
             writer.append_batch(frames, names=names_for(6))
         with ShardedArchiveReader(path) as probe:
             shard_path = probe.shard_paths[0]
@@ -344,7 +364,7 @@ class TestVerifyAndRepair:
         # Simulate the torn fan-out: append one frame to the primary only.
         extra = ct_slice_series(count=1, size=32, seed=77)[0]
         with ArchiveWriter.append(primary, spec=spec) as writer:
-            writer.add_frames([extra], names=[torn_name])
+            writer.append_batch([extra], names=[torn_name])
         with ShardedArchiveReader(path) as reader:
             report = reader.verify(strict=False)
             assert list(report["failures"]) == [replica.name]
@@ -366,7 +386,12 @@ class TestEndToEndSelfHealing:
         byte for byte, and strict verify passes afterwards."""
         rngless = ct_slice_series(count=12, size=32, seed=seed)
         path = tmp_path / f"acceptance_{seed}.dwts"
-        with ReplicatedShardSet.create(path, shards=4, replicas=1, scales=2) as writer:
+        with ReplicatedShardSet.create(
+            path,
+            spec=CodecSpec(scales=2),
+            shards=4,
+            replicas=1,
+        ) as writer:
             writer.append_batch(rngless, names=names_for(12))
         assert_copies_identical(path)
         copies = copy_files(path)

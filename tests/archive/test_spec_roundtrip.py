@@ -84,7 +84,10 @@ class TestSpecThroughFrameHeaders:
             appender.close()
 
     def test_unregistered_codec_id_is_a_format_error(self):
-        batch = compress_frames(frames_4()[:1], codec="s-transform", scales=2)
+        batch = compress_frames(
+            frames_4()[:1],
+            spec=CodecSpec(codec="s-transform", scales=2),
+        )
         payload = bytearray(serialize_stream(batch.streams[0]))
         payload[4] = 0xEE  # first meta byte is the codec wire id
         with pytest.raises(ArchiveFormatError, match="codec id"):
@@ -97,16 +100,26 @@ class TestParallelPacking:
         frames = [random_image(32, seed=i) for i in range(8)]
         serial_path = tmp_path / "serial.dwta"
         parallel_path = tmp_path / "parallel.dwta"
-        with ArchiveWriter.create(serial_path, codec="s-transform", scales=3) as writer:
+        with ArchiveWriter.create(
+            serial_path,
+            spec=CodecSpec(codec="s-transform", scales=3),
+        ) as writer:
             writer.append_batch(frames, workers=1)
-        with ArchiveWriter.create(parallel_path, codec="s-transform", scales=3) as writer:
+        with ArchiveWriter.create(
+            parallel_path,
+            spec=CodecSpec(codec="s-transform", scales=3),
+        ) as writer:
             writer.append_batch(frames, workers=4)
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     def test_writer_level_workers_default(self, tmp_path):
         frames = [random_image(32, seed=i) for i in range(4)]
         path = tmp_path / "w.dwta"
-        with ArchiveWriter.create(path, codec="s-transform", scales=3, workers=2) as writer:
+        with ArchiveWriter.create(
+            path,
+            spec=CodecSpec(codec="s-transform", scales=3),
+            workers=2,
+        ) as writer:
             writer.append_batch(frames)
             assert writer.stats.workers == 2
         with ArchiveReader(path) as reader:
@@ -117,7 +130,9 @@ class TestParallelPacking:
     def test_reader_parallel_decode_all(self, tmp_path):
         frames = [random_image(32, seed=i) for i in range(6)]
         path = tmp_path / "r.dwta"
-        with ArchiveWriter.create(path, codec="s-transform", scales=3) as writer:
+        with ArchiveWriter.create(
+            path, spec=CodecSpec(codec="s-transform", scales=3)
+        ) as writer:
             writer.append_batch(frames)
         with ArchiveReader(path) as reader:
             decoded, stats = reader.decode_all(workers=2)

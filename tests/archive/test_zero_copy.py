@@ -4,9 +4,13 @@ Zero-copy reads must be invisible except in speed: identical decoded
 frames, identical ``bytes_read`` accounting, identical errors on damage.
 These tests pin that contract for file and memory backends, prove the
 ``zero_copy_reads`` counter reports which path served each read, and check
-the cross-tier property that an archive packed under any engine tier
-decodes identically under every other tier.
+the cross-tier property that an archive packed under either engine tier
+decodes identically under the other — including sets whose manifest still
+names the retired ``turbo`` tier.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,13 +21,19 @@ from repro.archive.backend import (
     FileBackend,
     MemoryBackend,
 )
-from repro.archive.format import ArchiveIntegrityError
+from repro.archive.format import ArchiveIntegrityError, unpack_manifest
+from repro.archive.replication import ReplicatedShardSet
 from repro.archive.reader import ArchiveReader
 from repro.archive.serialize import materialize_stream, serialize_stream
-from repro.archive.sharding import ShardedArchiveReader, ShardedArchiveWriter
+from repro.archive.sharding import (
+    ShardedArchiveReader,
+    ShardedArchiveWriter,
+    write_manifest,
+)
 from repro.archive.writer import ArchiveWriter
+from repro.coding.spec import CodecSpec
 
-ENGINES = ("fast", "scalar", "turbo")
+ENGINES = ("fast", "scalar")
 
 
 @pytest.fixture
@@ -36,7 +46,7 @@ def frames(rng):
 @pytest.fixture
 def archive_path(tmp_path, frames):
     path = tmp_path / "frames.dwta"
-    with ArchiveWriter.create(path, scales=2) as writer:
+    with ArchiveWriter.create(path, spec=CodecSpec(scales=2)) as writer:
         writer.append_batch(frames)
     return path
 
@@ -110,7 +120,7 @@ class TestReaderZeroCopy:
 
     def test_memory_backend_is_zero_copy(self, frames):
         backend = MemoryBackend()
-        with ArchiveWriter.create(backend, scales=2) as writer:
+        with ArchiveWriter.create(backend, spec=CodecSpec(scales=2)) as writer:
             writer.append_batch(frames)
         with ArchiveReader(backend) as reader:
             assert np.array_equal(reader.decode(0), frames[0])
@@ -162,7 +172,9 @@ class TestReaderZeroCopy:
 class TestShardedZeroCopy:
     def test_counters_aggregate_across_shards(self, tmp_path, frames):
         manifest = tmp_path / "set.dwtm"
-        with ShardedArchiveWriter.create(manifest, shards=3, scales=2) as writer:
+        with ShardedArchiveWriter.create(
+            manifest, spec=CodecSpec(scales=2), shards=3
+        ) as writer:
             writer.append_batch(frames, names=[f"f{i}" for i in range(len(frames))])
         with ShardedArchiveReader(manifest) as reader:
             for i in range(len(frames)):
@@ -175,7 +187,9 @@ class TestShardedZeroCopy:
 
     def test_parallel_decode_all(self, tmp_path, frames):
         manifest = tmp_path / "set.dwtm"
-        with ShardedArchiveWriter.create(manifest, shards=2, scales=2) as writer:
+        with ShardedArchiveWriter.create(
+            manifest, spec=CodecSpec(scales=2), shards=2
+        ) as writer:
             writer.append_batch(frames, names=[f"f{i}" for i in range(len(frames))])
         with ShardedArchiveReader(manifest) as reader:
             images, _ = reader.decode_all(workers=2)
@@ -188,7 +202,9 @@ class TestCrossTierArchives:
     @pytest.mark.parametrize("pack_engine", ENGINES)
     def test_any_tier_decodes_any_tier_archive(self, tmp_path, frames, pack_engine):
         path = tmp_path / f"{pack_engine}.dwta"
-        with ArchiveWriter.create(path, scales=2, engine=pack_engine) as writer:
+        with ArchiveWriter.create(
+            path, spec=CodecSpec(scales=2, engine=pack_engine)
+        ) as writer:
             writer.append_batch(frames[:3])
         streams = {}
         for decode_engine in ENGINES:
@@ -198,11 +214,46 @@ class TestCrossTierArchives:
                     assert np.array_equal(image, frame)
             streams[decode_engine] = images
 
+    @pytest.mark.parametrize("replicas", [0, 1], ids=["sharded", "replicated"])
+    def test_stored_turbo_spec_reads_as_fast(self, tmp_path, frames, replicas):
+        """Sets written while the decode-only ``turbo`` tier existed store
+        ``"engine": "turbo"`` in their manifest spec; they open, decode
+        bit-exactly and keep appending as ``fast``.  (Single containers
+        store no engine at all: their index carries only the format fields,
+        and a turbo-packed container is byte-identical to a fast one.)"""
+        path = tmp_path / "old.dwts"
+        names = [f"f{i}" for i in range(4)]
+        if replicas:
+            writer = ReplicatedShardSet.create(
+                path, shards=2, replicas=replicas, spec=CodecSpec(scales=2)
+            )
+        else:
+            writer = ShardedArchiveWriter.create(
+                path, shards=2, spec=CodecSpec(scales=2)
+            )
+        with writer:
+            writer.append_batch(frames[:3], names=names[:3])
+        manifest = unpack_manifest(path.read_bytes())
+        stored = json.loads(manifest.spec_json)
+        stored["engine"] = "turbo"
+        spec_json = json.dumps(stored, sort_keys=True)
+        write_manifest(path, dataclasses.replace(manifest, spec_json=spec_json))
+        assert '"engine": "turbo"' in unpack_manifest(path.read_bytes()).spec_json
+        with ShardedArchiveWriter.append(path) as writer:
+            assert writer.spec.engine == "fast"
+            writer.append_batch(frames[3:4], names=names[3:])
+        with ShardedArchiveReader(path) as reader:
+            assert reader.spec.engine == "fast"
+            for name, frame in zip(names, frames):
+                assert np.array_equal(reader.decode(name), frame)
+
     def test_packed_bytes_identical_across_tiers(self, tmp_path, frames):
         digests = set()
         for engine in ENGINES:
             path = tmp_path / f"bytes-{engine}.dwta"
-            with ArchiveWriter.create(path, scales=2, engine=engine) as writer:
+            with ArchiveWriter.create(
+                path, spec=CodecSpec(scales=2, engine=engine)
+            ) as writer:
                 writer.append_batch(frames[:3])
             digests.add(path.read_bytes())
         assert len(digests) == 1

@@ -98,7 +98,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_decode_lossless(self, workers):
         frames = mixed_batch_32()
-        batch = compress_frames(frames, codec="s-transform", scales=3)
+        batch = compress_frames(frames, spec=CodecSpec(codec="s-transform", scales=3))
         decoded, stats = decompress_frames(batch, workers=workers)
         assert len(decoded) == len(frames)
         for original, reconstructed in zip(frames, decoded):
@@ -124,7 +124,7 @@ class TestByteIdentity:
         # not change the report's counters, so assert via the spec plumbing).
         from repro.coding.pipeline import CodecResources
 
-        resources = CodecResources(batch.resolved_spec())
+        resources = CodecResources(batch.spec)
         accelerator = resources.accelerator_for(resources.codec_for(2), 32, 2)
         assert accelerator.engine == "scalar"
 
@@ -163,15 +163,13 @@ class TestExecutorApi:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
-    def test_compress_kwargs_shim(self):
+    def test_compress_takes_spec_only(self):
         batch = ParallelExecutor(2).compress(
-            [shepp_logan(32)] * 2, codec="s-transform", scales=2
+            [shepp_logan(32)] * 2, spec=CodecSpec(codec="s-transform", scales=2)
         )
         assert batch.spec == CodecSpec(scales=2)
-        with pytest.raises(ValueError, match="not both"):
-            ParallelExecutor(2).compress(
-                [shepp_logan(32)], spec=CodecSpec(), codec="s-transform"
-            )
+        with pytest.raises(TypeError):
+            ParallelExecutor(2).compress([shepp_logan(32)], codec="s-transform")
 
     def test_merge_keeps_serial_elapsed_time(self):
         """Merging a serial run into a parallel one must not drop the

@@ -5,8 +5,8 @@ with *each other*; these vectors prove they agree with the **past**.  Each
 case hardcodes the exact bytes the encoder produced when the vector was
 minted, so any change to the stream layout — header fields, unary runs,
 canonical code assignment, zig-zag order — fails loudly here even if every
-engine drifts in unison.  Every tier (``fast``, ``scalar``, ``turbo``)
-must decode each golden stream to the same symbols.
+engine drifts in unison.  Both tiers (``fast``, ``scalar``) must decode
+each golden stream to the same symbols.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 from repro.coding.huffman import (
     huffman_decode,
     huffman_decode_scalar,
-    huffman_decode_turbo,
     huffman_encode,
     huffman_encode_scalar,
 )
@@ -23,7 +22,6 @@ from repro.coding.mapper import zigzag_decode, zigzag_encode
 from repro.coding.rice import (
     rice_decode,
     rice_decode_scalar,
-    rice_decode_turbo,
     rice_encode,
     rice_encode_scalar,
 )
@@ -32,12 +30,10 @@ from repro.coding.rle import rle_decode_arrays, rle_encode_arrays
 RICE_DECODERS = {
     "fast": rice_decode,
     "scalar": rice_decode_scalar,
-    "turbo": rice_decode_turbo,
 }
 HUFFMAN_DECODERS = {
     "fast": huffman_decode,
     "scalar": huffman_decode_scalar,
-    "turbo": huffman_decode_turbo,
 }
 
 # Each vector: (symbols, optional explicit k, golden stream hex).

@@ -8,6 +8,7 @@ from repro.coding.pipeline import (
     decompress_frames,
     max_dyadic_scales,
 )
+from repro.coding.spec import CodecSpec
 from repro.imaging.mr import mr_slice
 from repro.imaging.phantoms import (
     checkerboard,
@@ -50,7 +51,7 @@ class TestCompressDecompressFrames:
     @pytest.mark.parametrize("codec", ["s-transform", "coefficient"])
     def test_mixed_batch_roundtrip_lossless(self, codec):
         frames = mixed_batch()
-        batch = compress_frames(frames, codec=codec, scales=4)
+        batch = compress_frames(frames, spec=CodecSpec(codec=codec, scales=4))
         decoded, stats = decompress_frames(batch)
         assert len(decoded) == len(frames)
         for original, reconstructed in zip(frames, decoded):
@@ -60,26 +61,35 @@ class TestCompressDecompressFrames:
 
     def test_byte_identical_to_scalar_codec(self):
         frames = mixed_batch()
-        fast = compress_frames(frames, codec="s-transform", scales=4, engine="fast")
-        scalar = compress_frames(frames, codec="s-transform", scales=4, engine="scalar")
+        fast = compress_frames(
+            frames,
+            spec=CodecSpec(codec="s-transform", scales=4, engine="fast"),
+        )
+        scalar = compress_frames(
+            frames,
+            spec=CodecSpec(codec="s-transform", scales=4, engine="scalar"),
+        )
         for stream_fast, stream_scalar in zip(fast.streams, scalar.streams):
             assert stream_fast.chunks == stream_scalar.chunks
 
     def test_cross_engine_decode(self):
         frames = mixed_batch()[:4]
-        batch = compress_frames(frames, codec="s-transform", scales=4)
+        batch = compress_frames(frames, spec=CodecSpec(codec="s-transform", scales=4))
         decoded, _ = decompress_frames(batch, engine="scalar")
         for original, reconstructed in zip(frames, decoded):
             assert np.array_equal(original, reconstructed)
 
     def test_scales_clamped_per_frame(self):
-        batch = compress_frames([shepp_logan(64), random_image(40, seed=1)], scales=5)
+        batch = compress_frames(
+            [shepp_logan(64), random_image(40, seed=1)],
+            spec=CodecSpec(scales=5),
+        )
         assert batch.streams[0].scales == 5
         assert batch.streams[1].scales == 3  # 40 = 8 * 5 supports only 3 scales
 
     def test_stats_accounting(self):
         frames = mixed_batch()
-        batch = compress_frames(frames, codec="s-transform", scales=4)
+        batch = compress_frames(frames, spec=CodecSpec(codec="s-transform", scales=4))
         stats = batch.stats
         assert set(stats.stage_seconds) == {"transform", "entropy_encode"}
         assert stats.total_seconds > 0
@@ -91,12 +101,15 @@ class TestCompressDecompressFrames:
         assert "Mpixel/s" in stats.render()
 
     def test_compresses_smooth_content(self):
-        batch = compress_frames([shepp_logan(128)] * 2, codec="s-transform", scales=4)
+        batch = compress_frames(
+            [shepp_logan(128)] * 2,
+            spec=CodecSpec(codec="s-transform", scales=4),
+        )
         assert batch.compression_ratio > 1.2
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ValueError):
-            compress_frames([shepp_logan(64)], codec="jpeg2000")
+            compress_frames([shepp_logan(64)], spec=CodecSpec(codec="jpeg2000"))
 
     def test_undecomposable_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +117,8 @@ class TestCompressDecompressFrames:
 
     def test_coefficient_codec_options_forwarded(self):
         batch = compress_frames(
-            [shepp_logan(32)], codec="coefficient", scales=2, bank="F1", use_rle=False
+            [shepp_logan(32)],
+            spec=CodecSpec(codec="coefficient", scales=2, bank="F1", use_rle=False),
         )
         assert batch.streams[0].bank_name == "F1"
         decoded, _ = decompress_frames(batch)
@@ -119,18 +133,23 @@ class TestAcceleratorTransform:
 
     def test_streams_wire_identical_to_software_transform(self):
         frames = self.square_frames()
-        software = compress_frames(frames, codec="coefficient", scales=3)
-        hardware = compress_frames(
-            frames, codec="coefficient", scales=3, transform="accelerator"
+        software = compress_frames(
+            frames,
+            spec=CodecSpec(codec="coefficient", scales=3),
         )
-        assert hardware.transform == "accelerator"
+        hardware = compress_frames(
+            frames,
+            spec=CodecSpec(codec="coefficient", scales=3, transform="accelerator"),
+        )
+        assert hardware.spec.transform == "accelerator"
         for sw, hw in zip(software.streams, hardware.streams):
             assert sw.chunks == hw.chunks
 
     def test_roundtrip_lossless_with_run_reports(self):
         frames = self.square_frames()
         batch = compress_frames(
-            frames, codec="coefficient", scales=3, transform="accelerator"
+            frames,
+            spec=CodecSpec(codec="coefficient", scales=3, transform="accelerator"),
         )
         reports = batch.stats.accelerator_reports
         assert len(reports) == len(frames)
@@ -146,13 +165,17 @@ class TestAcceleratorTransform:
     def test_cross_transform_decode(self):
         frames = self.square_frames()
         hardware = compress_frames(
-            frames, codec="coefficient", scales=3, transform="accelerator"
+            frames,
+            spec=CodecSpec(codec="coefficient", scales=3, transform="accelerator"),
         )
         decoded, stats = decompress_frames(hardware, transform="software")
         for original, reconstructed in zip(frames, decoded):
             assert np.array_equal(original, reconstructed)
         assert stats.accelerator_reports == []
-        software = compress_frames(frames, codec="coefficient", scales=3)
+        software = compress_frames(
+            frames,
+            spec=CodecSpec(codec="coefficient", scales=3),
+        )
         decoded, stats = decompress_frames(software, transform="accelerator")
         for original, reconstructed in zip(frames, decoded):
             assert np.array_equal(original, reconstructed)
@@ -161,14 +184,17 @@ class TestAcceleratorTransform:
     def test_scalar_transform_engine(self):
         frames = [random_image(32, seed=2)]
         fast = compress_frames(
-            frames, codec="coefficient", scales=2, transform="accelerator"
+            frames,
+            spec=CodecSpec(codec="coefficient", scales=2, transform="accelerator"),
         )
         scalar = compress_frames(
             frames,
-            codec="coefficient",
-            scales=2,
-            transform="accelerator",
-            transform_engine="scalar",
+            spec=CodecSpec(
+                codec="coefficient",
+                scales=2,
+                transform="accelerator",
+                transform_engine="scalar",
+            ),
         )
         for a, b in zip(fast.streams, scalar.streams):
             assert a.chunks == b.chunks
@@ -187,28 +213,27 @@ class TestAcceleratorTransform:
         with pytest.raises(ValueError, match="catalog"):
             compress_frames(
                 [shepp_logan(64)],
-                codec="coefficient",
-                scales=2,
-                transform="accelerator",
-                bank=custom,
+                spec=CodecSpec(
+                    codec="coefficient", scales=2, transform="accelerator", bank=custom
+                ),
             )
 
     def test_s_transform_codec_rejected(self):
         with pytest.raises(ValueError):
-            compress_frames([shepp_logan(64)], transform="accelerator")
+            compress_frames([shepp_logan(64)], spec=CodecSpec(transform="accelerator"))
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError):
             compress_frames(
-                [shepp_logan(64)], codec="coefficient", transform="fpga"
+                [shepp_logan(64)],
+                spec=CodecSpec(codec="coefficient", transform="fpga"),
             )
 
     def test_non_square_frame_rejected(self):
         with pytest.raises(ValueError):
             compress_frames(
                 [np.zeros((64, 32), dtype=np.int64)],
-                codec="coefficient",
-                transform="accelerator",
+                spec=CodecSpec(codec="coefficient", transform="accelerator"),
             )
 
     @pytest.mark.parametrize("transform_engine", ["fast", "scalar"])
@@ -218,8 +243,7 @@ class TestAcceleratorTransform:
         # clean ValueError, not run (or crash) on a rectangle.
         batch = compress_frames(
             [np.arange(64 * 32, dtype=np.int64).reshape(64, 32) % 4096],
-            codec="coefficient",
-            scales=3,
+            spec=CodecSpec(codec="coefficient", scales=3),
         )
         with pytest.raises(ValueError, match="square"):
             decompress_frames(

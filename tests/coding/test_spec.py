@@ -4,7 +4,6 @@ import pytest
 
 from repro.coding import compress_frames
 from repro.coding.codec import CompressedImage, LosslessWaveletCodec
-from repro.coding.pipeline import CODEC_NAMES
 from repro.coding.s_transform import CompressedSImage, STransformCodec
 from repro.coding.spec import (
     CodecFamily,
@@ -61,18 +60,19 @@ class TestRegistry:
                 )
             )
 
-    def test_pipeline_and_format_tables_derive_from_registry(self):
-        from repro.archive.format import CODEC_IDS
+    def test_format_codec_ids_come_from_registry(self):
+        from repro.archive.format import ArchiveFormatError, codec_name_for_id
 
-        assert CODEC_NAMES == codec_names()
-        assert CODEC_IDS == codec_wire_ids()
+        for name, wire_id in codec_wire_ids().items():
+            assert codec_name_for_id(wire_id, "test") == name
+        with pytest.raises(ArchiveFormatError, match="unknown codec id 99"):
+            codec_name_for_id(99, "test")
 
-    def test_format_tables_are_live_registry_views(self, monkeypatch):
+    def test_format_id_lookup_reads_live_registry(self, monkeypatch):
         """Registering a family makes its wire id valid in the archive
-        format tables immediately — they are views, not import-time
-        snapshots."""
+        format immediately — no layer keeps an import-time snapshot."""
         import repro.coding.spec as spec_module
-        from repro.archive.format import CODEC_IDS, CODEC_NAMES_BY_ID
+        from repro.archive.format import codec_name_for_id
 
         family = CodecFamily(
             name="test-live-view",
@@ -86,14 +86,8 @@ class TestRegistry:
         registry = dict(spec_module._REGISTRY)
         registry[family.name] = family
         monkeypatch.setattr(spec_module, "_REGISTRY", registry)
-        assert CODEC_IDS["test-live-view"] == 240
-        assert CODEC_NAMES_BY_ID[240] == "test-live-view"
-        assert 240 in CODEC_NAMES_BY_ID
-        import repro.coding as coding_package
-        import repro.coding.pipeline as pipeline_module
-
-        assert "test-live-view" in pipeline_module.CODEC_NAMES
-        assert "test-live-view" in coding_package.CODEC_NAMES
+        assert codec_name_for_id(240, "test") == "test-live-view"
+        assert "test-live-view" in codec_names()
 
 
 class TestValidation:
@@ -109,21 +103,38 @@ class TestValidation:
     def test_engine_default_resolves_through_environment(self, monkeypatch):
         from repro.coding.spec import default_engine
 
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        assert default_engine() == "turbo"
-        assert CodecSpec().engine == "turbo"
+        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+        assert default_engine() == "scalar"
+        assert CodecSpec().engine == "scalar"
         # An explicit engine always beats the environment override.
-        assert CodecSpec(engine="scalar").engine == "scalar"
+        assert CodecSpec(engine="fast").engine == "fast"
         monkeypatch.setenv("REPRO_ENGINE", "simd")
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             CodecSpec()
 
-    def test_turbo_engine_accepted_entropy_only(self):
-        assert CodecSpec(engine="turbo").engine == "turbo"
-        # The accelerator model has no turbo tier: transform_engine keeps
-        # the narrower fast/scalar validation.
+    def test_two_engine_tiers(self):
+        from repro.arch.accelerator import ENGINES
+        from repro.coding.spec import ENGINE_NAMES
+
+        assert ENGINE_NAMES == ("fast", "scalar")
+        assert set(ENGINES) == set(ENGINE_NAMES)
+
+    def test_retired_turbo_engine_rejected_naming_both_tiers(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        with pytest.raises(ValueError, match=r"'turbo'.*'fast', 'scalar'"):
+            CodecSpec(engine="turbo")
         with pytest.raises(ValueError, match="transform_engine"):
             CodecSpec(codec="coefficient", transform_engine="turbo")
+        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        with pytest.raises(ValueError, match=r"REPRO_ENGINE.*'fast', 'scalar'"):
+            CodecSpec()
+
+    def test_stored_turbo_spec_reads_as_fast(self):
+        stored = CodecSpec(codec="coefficient", scales=3).to_dict()
+        stored["engine"] = "turbo"
+        spec = CodecSpec.from_dict(stored)
+        assert spec.engine == "fast"
+        assert spec == CodecSpec(codec="coefficient", scales=3, engine="fast")
 
     def test_coefficient_normalises_bank_and_rle(self):
         spec = CodecSpec(codec="coefficient")
@@ -178,35 +189,25 @@ class TestValidation:
             spec.scales = 2
 
 
-class TestCompatShim:
-    def test_from_kwargs_matches_direct_construction(self):
-        assert CodecSpec.from_kwargs() == CodecSpec()
-        assert CodecSpec.from_kwargs(
-            codec="coefficient", scales=3, engine="scalar", bank="F1",
-            bit_depth=10, use_rle=False,
-        ) == CodecSpec(
-            codec="coefficient", scales=3, engine="scalar", bank="F1",
-            bit_depth=10, use_rle=False,
-        )
-
-    def test_from_kwargs_forwards_extras(self):
+class TestSpecOnlyConfiguration:
+    def test_extras_reach_the_codec(self):
         from repro.fixedpoint.wordlength import plan_word_lengths
 
         plan = plan_word_lengths(get_bank("F2"), 2)
-        spec = CodecSpec.from_kwargs(codec="coefficient", scales=2, plan=plan)
+        spec = CodecSpec(codec="coefficient", scales=2, extras=(("plan", plan),))
         assert dict(spec.extras) == {"plan": plan}
         codec = spec.build_codec()
         assert codec.plan is plan
 
     def test_bank_object_accepted(self):
         bank = get_bank("F1")
-        spec = CodecSpec.from_kwargs(codec="coefficient", bank=bank)
+        spec = CodecSpec(codec="coefficient", bank=bank)
         assert spec.bank is bank
         assert spec.bank_name == "F1"
 
-    def test_compress_frames_rejects_spec_plus_kwargs(self):
-        with pytest.raises(ValueError, match="not both"):
-            compress_frames([shepp_logan(32)], spec=CodecSpec(), bit_depth=12)
+    def test_compress_frames_default_spec(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert compress_frames([shepp_logan(32)]).spec == CodecSpec()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -215,29 +216,35 @@ class TestCompatShim:
             {"codec": "coefficient"},
             {"engine": "scalar"},
             {"transform": "software"},
+            {"bit_depth": 12},
         ],
     )
-    def test_spec_plus_explicit_keyword_never_silently_ignored(self, kwargs):
-        with pytest.raises(ValueError, match="not both"):
-            compress_frames([shepp_logan(32)], spec=CodecSpec(), **kwargs)
+    def test_legacy_keywords_are_gone(self, kwargs):
+        with pytest.raises(TypeError):
+            compress_frames([shepp_logan(32)], **kwargs)
 
-    def test_writer_rejects_spec_plus_keywords(self, tmp_path):
+    def test_non_spec_configuration_rejected(self):
+        with pytest.raises(TypeError, match="CodecSpec"):
+            compress_frames([shepp_logan(32)], "coefficient")
+
+    def test_writer_takes_spec_only(self, tmp_path):
         from repro.archive import ArchiveWriter
 
-        with pytest.raises(ValueError, match="not both"):
-            ArchiveWriter.create(tmp_path / "x.dwta", spec=CodecSpec(), scales=2)
+        with pytest.raises(TypeError):
+            ArchiveWriter.create(tmp_path / "x.dwta", scales=2)
         path = tmp_path / "y.dwta"
         with ArchiveWriter.create(path, spec=CodecSpec(scales=2)) as writer:
             writer.append_batch([shepp_logan(32)])
-        with pytest.raises(ValueError, match="not both"):
-            ArchiveWriter.append(path, spec=CodecSpec(), engine="scalar")
+        with pytest.raises(TypeError, match="CodecSpec"):
+            ArchiveWriter.append(path, spec="s-transform")
         # The rejected append must not leak its open file handle.
         import warnings, gc
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             gc.collect()
-        # And the archive is still appendable afterwards.
+        # And the archive is still appendable afterwards, inheriting the
+        # last stored frame's spec.
         with ArchiveWriter.append(path) as writer:
             assert writer.spec.scales == 2
 
@@ -290,12 +297,14 @@ class TestSerialisation:
 
     def test_for_stream(self):
         frames = [shepp_logan(32)]
-        coeff = compress_frames(frames, codec="coefficient", scales=2, use_rle=False)
+        coeff = compress_frames(
+            frames, spec=CodecSpec(codec="coefficient", scales=2, use_rle=False)
+        )
         spec = CodecSpec.for_stream(coeff.streams[0])
         assert spec.codec == "coefficient"
         assert spec.scales == 2
         assert spec.use_rle is False
-        s = compress_frames(frames, codec="s-transform", scales=2)
+        s = compress_frames(frames, spec=CodecSpec(codec="s-transform", scales=2))
         assert CodecSpec.for_stream(s.streams[0]).codec == "s-transform"
 
     def test_bank_instance_specs_compare_and_hash(self):
@@ -312,17 +321,6 @@ class TestSerialisation:
         assert a != "not a spec"
         assert len({a, b}) == 1
 
-    def test_replace_options_routes_fields_and_extras(self):
-        from repro.fixedpoint.wordlength import plan_word_lengths
-
-        spec = CodecSpec(codec="coefficient", scales=2)
-        plan = plan_word_lengths(get_bank("F2"), 2)
-        updated = spec.replace_options(bit_depth=10, use_rle=False, plan=plan)
-        assert updated.bit_depth == 10
-        assert updated.use_rle is False
-        assert dict(updated.extras) == {"plan": plan}
-        assert spec.replace_options() is spec
-
     def test_describe_is_compact(self):
         text = CodecSpec(codec="coefficient", transform="accelerator").describe()
         assert "coefficient" in text and "bank=F2" in text
@@ -332,25 +330,13 @@ class TestSerialisation:
 
 class TestBatchSpec:
     def test_compress_frames_attaches_spec(self):
-        batch = compress_frames([shepp_logan(32)], codec="coefficient", scales=2)
-        assert batch.spec == CodecSpec(codec="coefficient", scales=2)
-        assert batch.resolved_spec() is batch.spec
-        # Legacy mirror fields stay in sync with the spec.
-        assert batch.codec == "coefficient"
-        assert batch.codec_options["bank"] == "F2"
+        spec = CodecSpec(codec="coefficient", scales=2)
+        batch = compress_frames([shepp_logan(32)], spec=spec)
+        assert batch.spec is spec
 
-    def test_resolved_spec_from_legacy_fields(self):
-        from repro.coding.pipeline import CompressedBatch, PipelineStats
+    def test_batch_requires_spec(self):
+        from repro.coding.pipeline import CompressedBatch
 
-        batch = CompressedBatch(
-            codec="coefficient",
-            engine="scalar",
-            codec_options={"bit_depth": 10, "bank": "F1"},
-            streams=[],
-            stats=PipelineStats(),
-        )
-        spec = batch.resolved_spec()
-        assert spec.codec == "coefficient"
-        assert spec.engine == "scalar"
-        assert spec.bank == "F1"
-        assert spec.bit_depth == 10
+        with pytest.raises(TypeError):
+            CompressedBatch(streams=[])
+        assert len(CompressedBatch(CodecSpec(), [])) == 0

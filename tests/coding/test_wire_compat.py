@@ -1,8 +1,8 @@
 """Bitstream wire-compatibility: every engine tier against every other.
 
 Every block coder ships a vectorised (``fast``) and a bit-by-bit
-(``scalar``) implementation, plus a table-driven ``turbo`` decode tier;
-these tests pin the contract that they are drop-in interchangeable at the
+(``scalar``) implementation; these tests pin the contract that they are
+drop-in interchangeable at the
 byte level — identical encoded streams, and each decoder accepts each
 encoder's output — on random inputs and on phantom-image workloads.
 """
@@ -10,19 +10,20 @@ encoder's output — on random inputs and on phantom-image workloads.
 import numpy as np
 import pytest
 
+from repro.coding import huffman as huffman_module
 from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.huffman import (
+    HuffmanCode,
     huffman_decode,
     huffman_decode_scalar,
-    huffman_decode_turbo,
     huffman_encode,
     huffman_encode_scalar,
 )
 from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import (
+    MAX_RICE_PARAMETER,
     rice_decode,
     rice_decode_scalar,
-    rice_decode_turbo,
     rice_encode,
     rice_encode_scalar,
 )
@@ -41,6 +42,19 @@ def _phantom_symbols():
     """Zig-zagged detail-like samples from a real phantom image."""
     image = shepp_logan(64).astype(np.int64)
     return zigzag_encode(np.diff(image, axis=1).ravel())
+
+
+def _cut_points(nbytes):
+    """Up to 48 strict-prefix lengths, always including 0 and ``nbytes - 1``."""
+    return np.unique(np.linspace(0, nbytes - 1, 48).astype(int)).tolist()
+
+
+def _fibonacci_symbols(alphabet):
+    """Symbols with Fibonacci counts: the longest code is ``alphabet - 1`` bits."""
+    counts = [1, 1]
+    while len(counts) < alphabet:
+        counts.append(counts[-1] + counts[-2])
+    return np.repeat(np.arange(alphabet), counts)
 
 
 class TestRiceWireCompat:
@@ -63,18 +77,34 @@ class TestRiceWireCompat:
     def test_scalar_encode_fast_decode(self, symbols):
         assert rice_decode(rice_encode_scalar(symbols)) == symbols.tolist()
 
-    def test_turbo_decode_matches_both_encoders(self, symbols):
-        assert rice_decode_turbo(rice_encode(symbols)) == symbols.tolist()
-        assert rice_decode_turbo(rice_encode_scalar(symbols)) == symbols.tolist()
-
     @pytest.mark.parametrize("k", [0, 1, 5, 11, 18, 26])
     def test_explicit_parameter(self, rng, k):
         symbols = rng.integers(0, 2000, size=400)
         assert rice_encode(symbols, k=k) == rice_encode_scalar(symbols, k=k)
+        # The fast decoder switches its remainder read (bit planes below
+        # k = 6, 64-bit windows from there) on k; both must land on the
+        # same symbols.
         assert rice_decode(rice_encode_scalar(symbols, k=k)) == symbols.tolist()
-        # Turbo's adaptive run-scan/remainder strategies switch on k; every
-        # branch must land on the same symbols.
-        assert rice_decode_turbo(rice_encode(symbols, k=k)) == symbols.tolist()
+
+    @pytest.mark.parametrize("k", [6, 7, 13, 17, MAX_RICE_PARAMETER])
+    def test_window_remainder_every_phase(self, rng, k):
+        # Quotients 0..2 shift each remainder's start by one bit, so over
+        # 200 symbols the 64-bit window read sees every byte phase and
+        # remainders with their top and bottom bits set.
+        quotients = rng.integers(0, 3, size=200)
+        remainders = rng.integers(0, 1 << k, size=200)
+        remainders[:2] = [0, (1 << k) - 1]
+        symbols = (quotients << k) | remainders
+        stream = rice_encode(symbols, k=k)
+        assert stream == rice_encode_scalar(symbols, k=k)
+        assert rice_decode(stream) == symbols.tolist()
+
+    def test_every_tier_rejects_truncation(self, symbols):
+        stream = rice_encode(symbols)
+        for cut in _cut_points(len(stream)):
+            for decode in (rice_decode, rice_decode_scalar):
+                with pytest.raises(EOFError):
+                    decode(stream[:cut])
 
 
 class TestHuffmanWireCompat:
@@ -97,20 +127,39 @@ class TestHuffmanWireCompat:
     def test_scalar_encode_fast_decode(self, symbols):
         assert huffman_decode(huffman_encode_scalar(symbols)) == symbols.tolist()
 
-    def test_turbo_decode_matches_both_encoders(self, symbols):
-        assert huffman_decode_turbo(huffman_encode(symbols)) == symbols.tolist()
-        assert huffman_decode_turbo(huffman_encode_scalar(symbols)) == symbols.tolist()
+    def test_every_tier_rejects_truncation(self, symbols):
+        stream = huffman_encode(symbols)
+        for cut in _cut_points(len(stream)):
+            for decode in (huffman_decode, huffman_decode_scalar):
+                with pytest.raises(EOFError):
+                    decode(stream[:cut])
 
-    def test_turbo_long_code_fallback(self):
-        # Fibonacci frequencies build a maximally skewed tree whose longest
-        # code exceeds the turbo LUT cap; the decoder must fall back to the
-        # fast path and still agree byte for byte.
-        counts = [1, 1]
-        while len(counts) < 22:
-            counts.append(counts[-1] + counts[-2])
-        symbols = np.repeat(np.arange(len(counts)), counts)
+    @pytest.mark.parametrize("longest", [15, 16, 17])
+    def test_prefix_table_cap_boundary(self, monkeypatch, longest):
+        # Codes up to 16 bits decode through the dense prefix table; one
+        # bit wider and the scalar oracle takes over.
+        symbols = _fibonacci_symbols(longest + 1)
+        assert max(HuffmanCode.from_symbols(symbols).lengths.values()) == longest
         encoded = huffman_encode(symbols)
-        assert huffman_decode_turbo(encoded) == huffman_decode(encoded)
+        calls = []
+        scalar = huffman_module.huffman_decode_scalar
+
+        def counting_scalar(data):
+            calls.append(len(data))
+            return scalar(data)
+
+        monkeypatch.setattr(huffman_module, "huffman_decode_scalar", counting_scalar)
+        assert huffman_decode(encoded) == symbols.tolist()
+        assert bool(calls) == (longest > 16)
+
+    def test_long_code_scalar_fallback(self):
+        # Fibonacci frequencies build a maximally skewed tree whose longest
+        # code exceeds the 16-bit prefix-table cap; the decoder must fall
+        # back to the scalar path and still agree symbol for symbol.
+        symbols = _fibonacci_symbols(22)
+        encoded = huffman_encode(symbols)
+        assert max(HuffmanCode.from_symbols(symbols).lengths.values()) > 16
+        assert huffman_decode(encoded) == symbols.tolist()
 
 
 class TestRleWireCompat:
@@ -156,7 +205,7 @@ class TestRleWireCompat:
         assert literals.tolist() == literals_ref.tolist()
 
 
-ENGINES = ("fast", "scalar", "turbo")
+ENGINES = ("fast", "scalar")
 
 
 class TestSTransformCodecWireCompat:
@@ -171,7 +220,7 @@ class TestSTransformCodecWireCompat:
         streams = {name: codec.encode(image) for name, codec in codecs.items()}
         for name in ENGINES[1:]:
             assert streams[name].chunks == streams["fast"].chunks
-        # Full cross matrix: every tier decodes every tier's stream.
+        # Full cross matrix: each tier decodes the other tier's stream.
         for codec in codecs.values():
             for stream in streams.values():
                 assert np.array_equal(codec.decode(stream), image)
