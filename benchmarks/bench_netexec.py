@@ -26,7 +26,7 @@ import pytest
 
 from _gates import cpu_throughput_gate
 from repro.coding import compress_frames
-from repro.coding.netexec import SocketPoolExecutor, WorkerPool, local_worker_pool
+from repro.coding.netexec import WorkerPool, local_worker_pool
 from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
@@ -67,8 +67,9 @@ def test_socket_pool_scaling(save_json_record):
         # One persistent pool across repeats: connections and worker
         # processes stay warm, exactly how a deployment would run it.
         with WorkerPool(addresses) as pool:
-            executor = SocketPoolExecutor(pool)
-            socket_s, socketed = _best(lambda: executor.compress(frames, SPEC))
+            socket_s, socketed = _best(
+                lambda: compress_frames(frames, spec=SPEC, workers=pool)
+            )
             failures = pool.worker_failures
             reassignments = pool.reassignments
 

@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from ..coding.executor import run_shards, shard_indices, shard_width
 from ..coding.pipeline import (
     CodecResources,
     CompressedBatch,
@@ -62,7 +63,6 @@ from .serialize import (
     codec_name_for_stream,
     deserialize_stream,
     frame_spec,
-    materialize_stream,
     parse_section_table,
     sections_to_stream,
 )
@@ -452,20 +452,14 @@ class ArchiveReader:
         return CompressedBatch(spec, [self.read_stream(entry) for entry in entries])
 
     def decode_all(
-        self, keys: Optional[Sequence[FrameKey]] = None, workers: int = 1
+        self, keys: Optional[Sequence[FrameKey]] = None, workers=1
     ) -> Tuple[List[np.ndarray], PipelineStats]:
         """Decode every (selected) frame through the batched pipeline.
 
-        ``workers`` > 1 shards the decode across a process pool
-        (:class:`~repro.coding.executor.ParallelExecutor`); the streams are
-        materialised to bytes first, since zero-copy views cannot cross a
-        process boundary.
+        ``workers`` shards the decode exactly as in
+        :func:`~repro.coding.pipeline.decompress_frames`.
         """
-        batch = self.to_batch(keys)
-        if workers != 1:
-            for stream in batch.streams:
-                materialize_stream(stream)
-        return decompress_frames(batch, workers=workers)
+        return decompress_frames(self.to_batch(keys), workers=workers)
 
     # -- integrity ----------------------------------------------------------------------
     def _verify_frame(self, entry: FrameInfo, deep: bool) -> int:
@@ -487,91 +481,41 @@ class ArchiveReader:
                 )
         return len(payload)
 
-    def verify(self, deep: bool = False, workers: int = 1) -> VerifyReport:
+    def verify(self, deep: bool = False, workers=1) -> VerifyReport:
         """Check every frame's checksum; with ``deep``, decode each frame too.
 
         Raises :class:`ArchiveIntegrityError` / :class:`ArchiveFormatError`
         on the first failure; returns a summary when the archive is sound.
 
-        ``workers`` > 1 shards the frames across a process pool (file-backed
-        archives only — other backends fall back to serial): each worker
-        reopens the archive and verifies its share, so deep verification
-        parallelises the way ``pack --workers`` does.  Socket workers
+        A file-backed archive is verified through
+        :func:`~repro.coding.executor.run_shards`: the frames are dealt
+        round-robin onto ``workers`` shards and each shard reopens the
+        archive by path, so ``workers`` > 1 parallelises deep verification
+        the way ``pack --workers`` does, and socket workers
         (``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool`) shard the frames across
-        remote workers instead (which must see the archive's filesystem,
-        like the pool's processes).  The payload reads then happen in the
-        workers, so this reader's ``bytes_read`` counter does not advance.
+        :class:`~repro.coding.netexec.WorkerPool`) verify remotely (they
+        must see the archive's filesystem).  Those reads happen in the
+        shard's own reader, so this reader's ``bytes_read`` does not
+        advance.  Other backends cannot be reopened elsewhere and are
+        verified serially in this reader.
         """
-        from ..coding.executor import is_socket_workers
-
-        if is_socket_workers(workers):
-            if len(self.frames) > 0 and isinstance(self.backend, FileBackend):
-                return self._verify_socket(deep, workers)
-            workers = 1
-        if workers > 1 and len(self.frames) > 1 and isinstance(self.backend, FileBackend):
-            return self._verify_parallel(deep, workers)
-        payload_bytes = 0
-        for entry in self.frames:
-            payload_bytes += self._verify_frame(entry, deep)
-        return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
-
-    def _verify_parallel(self, deep: bool, workers: int) -> VerifyReport:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..coding.executor import pool_context, shard_indices
-
-        shards = shard_indices(len(self.frames), workers)
-        with ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=pool_context()
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _verify_frames_worker,
-                    str(self.backend.path),
-                    indices,
-                    deep,
-                    self.engine,
-                    self.verify_checksums,
-                )
-                for indices in shards
+        width = shard_width(workers)  # validated on every backend
+        if isinstance(self.backend, FileBackend):
+            jobs = [
+                {
+                    "path": str(self.backend.path),
+                    "indices": indices,
+                    "deep": deep,
+                    "engine": self.engine,
+                    "verify_checksums": self.verify_checksums,
+                }
+                for indices in shard_indices(len(self.frames), width)
+                if indices
             ]
-            payload_bytes = sum(future.result() for future in futures)
-        return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
-
-    def _verify_socket(self, deep: bool, workers) -> VerifyReport:
-        """Verify via socket workers: one ``verify_frames`` RPC per shard
-        of the frame list, each worker reopening the archive by path."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..coding.executor import shard_indices
-        from ..coding.netexec import WorkerPool
-
-        pool, owns = WorkerPool.from_any(workers)
-        try:
-            live = pool.ensure_connected()
-            shards = shard_indices(len(self.frames), len(live))
-
-            def run_shard(item) -> int:
-                position, indices = item
-                result, _node = pool.call(
-                    "verify_frames",
-                    {
-                        "path": str(self.backend.path),
-                        "indices": indices,
-                        "deep": deep,
-                        "engine": self.engine,
-                        "verify_checksums": self.verify_checksums,
-                    },
-                    preferred_index=live[position % len(live)],
-                )
-                return result["payload_bytes"]
-
-            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
-                payload_bytes = sum(threads.map(run_shard, enumerate(shards)))
-        finally:
-            if owns:
-                pool.disconnect()
+            run = run_shards("verify_frames", jobs, workers)
+            payload_bytes = sum(result["payload_bytes"] for result in run.results)
+        else:
+            payload_bytes = sum(self._verify_frame(entry, deep) for entry in self.frames)
         return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -591,6 +535,6 @@ class ArchiveReader:
 def _verify_frames_worker(
     path: str, indices: Sequence[int], deep: bool, engine: str, verify_checksums: bool
 ) -> int:
-    """Process-pool entry point: verify a subset of one archive's frames."""
+    """The ``verify_frames`` task: verify a subset of one archive's frames."""
     with ArchiveReader(path, engine=engine, verify_checksums=verify_checksums) as reader:
         return sum(reader._verify_frame(reader.frames[i], deep) for i in indices)

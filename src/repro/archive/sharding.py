@@ -11,10 +11,11 @@ single-archive API:
 
 ``ShardedArchiveWriter``
     Creates or appends to a set; :meth:`~ShardedArchiveWriter.append_batch`
-    with ``workers`` > 1 runs **one end-to-end worker per shard** — each
-    worker process compresses *and writes* its own shard, so ingest scales
-    without a shared writer bottleneck — and produces byte-identical shard
-    files to the serial path.
+    compresses **one job per shard** through the shard-execution seam
+    (:func:`~repro.coding.executor.run_shards` — serially, in a process
+    pool, or on socket workers) and then writes every shard in this
+    process, so the shard files are byte-identical on every transport and
+    a batch that fails to compress leaves every shard untouched.
 ``ShardedArchiveReader``
     Lists the whole set, randomly accesses one frame by routing its name to
     its shard (only that shard is opened and only that payload is read —
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import zlib
 from bisect import bisect_right
 from pathlib import Path
@@ -51,13 +51,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from ..coding.executor import is_socket_workers, pool_context
-from ..coding.pipeline import (
-    CompressedBatch,
-    PipelineStats,
-    compress_frames,
-    decompress_frames,
-)
+from ..coding.executor import run_shards, shard_width
+from ..coding.pipeline import CompressedBatch, PipelineStats, decompress_frames
 from ..coding.spec import CodecSpec, default_engine, spec_or_default
 from .backend import RetryPolicy, StorageBackend
 from .format import (
@@ -77,7 +72,7 @@ from .format import (
 )
 from .placement import PlacementLike, normalize_placement
 from .reader import ArchiveReader, FrameKey, VerifyReport
-from .serialize import CompressedStream, materialize_stream
+from .serialize import CompressedStream
 from .writer import ArchiveWriter
 
 __all__ = [
@@ -278,32 +273,8 @@ def _read_manifest(path: Path) -> ShardManifest:
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points (module level so they pickle for the process pool)
+# Task entry points (module level so they pickle for the process pool)
 # ---------------------------------------------------------------------------
-
-def _append_shard_worker(
-    paths: List[str],
-    spec: CodecSpec,
-    frames: List[np.ndarray],
-    names: List[str],
-    layout: str = LAYOUT_FRAME_MAJOR,
-) -> Tuple[List[FrameInfo], PipelineStats]:
-    """One end-to-end shard worker: compress once, write every copy.
-
-    ``paths`` is the shard's write fan-out — the primary container first,
-    then its replicas (empty past the primary for an unreplicated set).
-    Each copy receives the *same* streams in the same order against the
-    same starting bytes, which is what makes the copies byte-identical.
-    """
-    batch = compress_frames(frames, spec=spec)
-    entries: Optional[List[FrameInfo]] = None
-    for path in paths:
-        with ArchiveWriter.append(path, spec=spec, layout=layout) as writer:
-            copy_entries = writer.add_batch(batch, names=names)
-        if entries is None:
-            entries = copy_entries
-    return entries or [], batch.stats
-
 
 def _verify_copy_worker(
     target, deep: bool, engine: str, verify_checksums: bool
@@ -318,14 +289,14 @@ def _verify_copy_worker(
     """
     try:
         with ArchiveReader(target, engine=engine, verify_checksums=verify_checksums) as reader:
-            report = reader.verify(deep=deep)
+            payload_bytes = sum(reader._verify_frame(e, deep) for e in reader.frames)
             digest_src = "\n".join(
                 f"{e.name}:{e.crc32:08x}" for e in sorted(reader.frames, key=lambda e: e.name)
             )
             return {
                 "ok": True,
-                "frames": report["frames"],
-                "payload_bytes": report["payload_bytes"],
+                "frames": len(reader.frames),
+                "payload_bytes": payload_bytes,
                 "digest": _crc32(digest_src.encode("utf-8")),
             }
     except (ArchiveError, OSError) as exc:
@@ -365,7 +336,7 @@ class ShardedArchiveWriter:
         #: (1 = serial) or socket worker addresses / a
         #: :class:`~repro.coding.netexec.WorkerPool` for distributed
         #: appends.
-        self.workers = workers if is_socket_workers(workers) else int(workers)
+        self.workers = workers
         #: Aggregated pipeline stats of every append on this writer.
         self.stats = PipelineStats()
         #: Distributed appends routed to each shard's placed worker, and
@@ -496,23 +467,12 @@ class ShardedArchiveWriter:
         """Names of every frame stored in the set so far."""
         return sorted(self._names)
 
-    def _shard_write_paths(self, shard: int) -> List[str]:
-        """The files one shard's appends land in (primary only here; the
-        replicated subclass adds the shard's replicas)."""
-        return [str(self.shard_paths[shard])]
-
     def _writer(self, shard: int) -> ArchiveWriter:
         if shard not in self._writers:
             self._writers[shard] = ArchiveWriter.append(
                 self.shard_paths[shard], spec=self.spec, layout=self.manifest.layout
             )
         return self._writers[shard]
-
-    def _flush_shards(self) -> None:
-        """Finalise any in-process shard writers (before pooled appends)."""
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
 
     def _resolve_names(
         self, count: int, names: Optional[Sequence[str]]
@@ -556,181 +516,76 @@ class ShardedArchiveWriter:
         names: Optional[Sequence[str]] = None,
         workers=None,
     ) -> List[FrameInfo]:
-        """Compress and archive ``frames``, one pipeline run per shard.
+        """Compress and archive ``frames``, one compression job per shard.
 
-        Serially the shards are filled one after another; with ``workers``
-        > 1 every non-empty shard gets its own end-to-end worker process
-        (compress + write), the true "one worker per shard" scale-out.
-        With socket workers (``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool`) each shard's
-        compression runs on a remote worker — routed to the shard's
-        *placed* node when the manifest carries a placement map
-        (``placement_hits``/``placement_fallbacks`` count the routing) —
-        and the streams are written locally.  The shard files are
-        byte-identical in every mode.  Returns the new index entries in
-        input order (``entry.index`` is shard-local).
+        The frames are routed to their shards, each shard's group is
+        compressed as one job of :func:`~repro.coding.executor.run_shards`
+        (``workers`` — default: the writer's — picks serial, a process pool
+        or socket workers; socket jobs go to the shard's *placed* node when
+        the manifest carries a placement map, counted in
+        ``placement_hits``/``placement_fallbacks``), and only then are the
+        streams written, shard by shard in this process, through the same
+        shard writers :meth:`add_stream` uses.  The shard files are
+        byte-identical on every transport.
+
+        Failure semantics: the append is all-or-nothing with respect to
+        compression.  If any frame fails to compress (a frame outside the
+        spec's bit depth, a dead socket pool), the error propagates before
+        a single byte is written, so every shard copy — primary and
+        replicas — stays byte-identical to its pre-append state and the
+        writer stays usable.  A failure while writing is covered by the
+        container's own crash safety: a shard reads as its pre-append
+        state until its writer is closed.
+
+        Returns the new index entries in input order (``entry.index`` is
+        shard-local).
         """
         if self._closed:
             raise ValueError("sharded archive writer is closed")
         frames = [np.asarray(frame) for frame in frames]
-        if workers is None:
-            workers = self.workers
-        elif not is_socket_workers(workers):
-            workers = int(workers)
         resolved = self._resolve_names(len(frames), names)
         groups: Dict[int, List[int]] = {}
         for position, name in enumerate(resolved):
             groups.setdefault(self.router.route(name), []).append(position)
+        shard_order = sorted(groups)
+        placement = self.manifest.placement
+        run = run_shards(
+            "compress",
+            [
+                {"spec": self.spec, "items": [frames[i] for i in groups[shard]]}
+                for shard in shard_order
+            ],
+            self.workers if workers is None else workers,
+            affinity=[placement.get(self.manifest.shard_names[s]) for s in shard_order],
+        )
+        self.placement_hits += run.placement_hits
+        self.placement_fallbacks += run.placement_fallbacks
         entries: List[Optional[FrameInfo]] = [None] * len(frames)
-        if is_socket_workers(workers) and groups:
-            self._run_shard_netpool(groups, frames, resolved, entries, workers)
-        elif workers > 1 and len(groups) > 1:
-            self._run_shard_pool(groups, frames, resolved, entries, workers)
-        else:
-            for shard in sorted(groups):
-                positions = groups[shard]
-                batch = compress_frames(
-                    [frames[i] for i in positions], spec=self.spec
-                )
-                shard_entries = self._writer(shard).add_batch(
-                    batch, names=[resolved[i] for i in positions]
-                )
-                for position, entry in zip(positions, shard_entries):
-                    entries[position] = entry
-                self.stats.merge(batch.stats)
+        stats = PipelineStats()
+        for shard, result in zip(shard_order, run.results):
+            positions = groups[shard]
+            shard_entries = self._writer(shard).add_batch(
+                CompressedBatch(self.spec, result["items"]),
+                names=[resolved[i] for i in positions],
+            )
+            for position, entry in zip(positions, shard_entries):
+                entries[position] = entry
+            stats.merge(result["stats"])
+        stats.workers = run.workers
+        stats.wall_seconds = run.wall_seconds
+        self.stats.merge(stats)
         self._names.update(resolved)
         self._total += len(frames)
         return [entry for entry in entries if entry is not None]
-
-    def _run_shard_pool(
-        self,
-        groups: Dict[int, List[int]],
-        frames: List[np.ndarray],
-        names: List[str],
-        entries: List[Optional[FrameInfo]],
-        workers: int,
-    ) -> None:
-        """One worker per shard: each process compresses and writes its shard."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Workers reopen the shard files, so in-process writers must have
-        # finalised first (their frames stay; this is an ordinary close).
-        self._flush_shards()
-        shard_order = sorted(groups)
-        began = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(shard_order)), mp_context=pool_context()
-        ) as pool:
-            futures = {
-                shard: pool.submit(
-                    _append_shard_worker,
-                    self._shard_write_paths(shard),
-                    self.spec,
-                    [frames[i] for i in groups[shard]],
-                    [names[i] for i in groups[shard]],
-                    self.manifest.layout,
-                )
-                for shard in shard_order
-            }
-            results = {shard: future.result() for shard, future in futures.items()}
-        wall = time.perf_counter() - began
-        merged = PipelineStats()
-        for shard in shard_order:
-            shard_entries, shard_stats = results[shard]
-            for position, entry in zip(groups[shard], shard_entries):
-                entries[position] = entry
-            merged.merge(shard_stats)
-        merged.workers = min(workers, len(shard_order))
-        merged.wall_seconds = wall
-        self.stats.merge(merged)
-
-    def _run_shard_netpool(
-        self,
-        groups: Dict[int, List[int]],
-        frames: List[np.ndarray],
-        names: List[str],
-        entries: List[Optional[FrameInfo]],
-        workers,
-    ) -> None:
-        """Distributed append: compress each shard on a socket worker.
-
-        Each shard's frames go out as one ``compress`` job, routed to the
-        shard's placed node when the manifest has a placement map
-        (any-worker otherwise, or when the placed node is down — counted
-        in ``placement_fallbacks``); the returned streams are written to
-        the shard's copies *locally, in shard order*, so the on-disk bytes
-        are exactly the serial path's regardless of which worker compressed
-        what or in which order results arrived.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..coding.netexec import WorkerPool
-
-        self._flush_shards()
-        pool, owns = WorkerPool.from_any(workers)
-        shard_order = sorted(groups)
-        placement = self.manifest.placement
-        began = time.perf_counter()
-        try:
-            live = pool.ensure_connected()
-
-            def run_shard(shard: int):
-                preferred = placement.get(self.manifest.shard_names[shard])
-                result, node = pool.call(
-                    "compress",
-                    {
-                        "spec": self.spec,
-                        "items": [frames[i] for i in groups[shard]],
-                    },
-                    preferred_node=preferred,
-                )
-                return shard, result, node, preferred
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(shard_order), len(live))
-            ) as threads:
-                outcomes = {
-                    shard: (result, node, preferred)
-                    for shard, result, node, preferred in threads.map(
-                        run_shard, shard_order
-                    )
-                }
-        finally:
-            if owns:
-                pool.disconnect()
-        wall = time.perf_counter() - began
-        merged = PipelineStats()
-        for shard in shard_order:
-            result, node, preferred = outcomes[shard]
-            if preferred is not None:
-                if node == preferred:
-                    self.placement_hits += 1
-                else:
-                    self.placement_fallbacks += 1
-            batch = CompressedBatch(self.spec, result["items"])
-            shard_entries: Optional[List[FrameInfo]] = None
-            for path in self._shard_write_paths(shard):
-                with ArchiveWriter.append(
-                    path, spec=self.spec, layout=self.manifest.layout
-                ) as writer:
-                    copy_entries = writer.add_batch(
-                        batch, names=[names[i] for i in groups[shard]]
-                    )
-                if shard_entries is None:
-                    shard_entries = copy_entries
-            for position, entry in zip(groups[shard], shard_entries or []):
-                entries[position] = entry
-            merged.merge(result["stats"])
-        merged.workers = len(live)
-        merged.wall_seconds = wall
-        self.stats.merge(merged)
 
     # -- finalisation -------------------------------------------------------------------
     def close(self) -> None:
         """Finalise every open shard writer."""
         if self._closed:
             return
-        self._flush_shards()
+        for writer in self._writers.values():
+            writer.close()
+        self._writers.clear()
         self._closed = True
 
     def __enter__(self) -> "ShardedArchiveWriter":
@@ -1084,22 +939,16 @@ class ShardedArchiveReader:
         )
 
     def decode_all(
-        self, keys: Optional[Sequence[FrameKey]] = None, workers: int = 1
+        self, keys: Optional[Sequence[FrameKey]] = None, workers=1
     ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode every (selected) frame through the batched pipeline.
-
-        With ``workers`` > 1 the streams are materialised to bytes first —
-        zero-copy views cannot cross the process-pool boundary.
-        """
-        batch = self.to_batch(keys)
-        if workers != 1:
-            for stream in batch.streams:
-                materialize_stream(stream)
-        return decompress_frames(batch, workers=workers)
+        """Decode every (selected) frame through the batched pipeline;
+        ``workers`` shards the decode exactly as in
+        :func:`~repro.coding.pipeline.decompress_frames`."""
+        return decompress_frames(self.to_batch(keys), workers=workers)
 
     # -- integrity ----------------------------------------------------------------------
     def verify(
-        self, deep: bool = False, workers: int = 1, strict: bool = True
+        self, deep: bool = False, workers=1, strict: bool = True
     ) -> VerifyReport:
         """Verify the set copy by copy, isolating damage.
 
@@ -1110,14 +959,15 @@ class ShardedArchiveReader:
         cross-checked against each other: a copy that is individually
         valid but diverged from its most complete sibling (a stale replica
         left by a torn fan-out append) is reported as damaged too, because
-        it must not serve reads or source a repair.  ``workers`` > 1
-        verifies copies concurrently, one worker process per copy; socket
-        workers (``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool`) verify copies on remote
-        workers instead, routed by the manifest's placement map when it
-        has one (the workers must see the set's filesystem, like the fork
-        pool's processes).  ``backend_factory`` forces the serial path —
-        injected backends cross neither process nor socket boundaries.
+        it must not serve reads or source a repair.  Each copy is one job
+        of :func:`~repro.coding.executor.run_shards`: ``workers`` > 1
+        verifies copies concurrently in a process pool; socket workers
+        (``"host:port,host:port"`` or a
+        :class:`~repro.coding.netexec.WorkerPool`) verify them remotely,
+        routed by the manifest's placement map when it has one (the
+        workers must see the set's filesystem).  ``backend_factory``
+        forces the serial path — injected backends cross neither process
+        nor socket boundaries.
 
         Returns a :class:`VerifyReport` with set totals (counting each
         shard's authoritative copy once) plus ``shards``, ``copies``, a
@@ -1129,36 +979,40 @@ class ShardedArchiveReader:
         :func:`repro.archive.replication.repair_set` consumes to rebuild
         damaged copies from their healthy siblings.
         """
+        if self.backend_factory is not None:
+            shard_width(workers)  # still reject a bad value
+            workers = 1
         copy_names: List[Tuple[int, str]] = []  # (shard, copy file name)
         replica_map = self.manifest.replica_names or ((),) * self.shard_count
         for shard, primary in enumerate(self.manifest.shard_names):
             for name in (primary, *replica_map[shard]):
                 copy_names.append((shard, name))
-        targets = [
-            self.backend_factory(self.path.parent / name)
-            if self.backend_factory
-            else str(self.path.parent / name)
-            for _, name in copy_names
-        ]
-        args = [
-            (target, deep, self.engine, self.verify_checksums) for target in targets
-        ]
-        if is_socket_workers(workers) and self.backend_factory is None:
-            results = self._verify_remote(copy_names, args, workers)
-        elif (
-            not is_socket_workers(workers)
-            and workers > 1
-            and len(args) > 1
-            and self.backend_factory is None
-        ):
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(args)), mp_context=pool_context()
-            ) as pool:
-                results = list(pool.map(_verify_copy_worker, *zip(*args)))
-        else:
-            results = [_verify_copy_worker(*arg) for arg in args]
+        placement = self.manifest.placement
+        run = run_shards(
+            "verify_copy",
+            [
+                {
+                    "target": (
+                        self.backend_factory(self.path.parent / name)
+                        if self.backend_factory
+                        else str(self.path.parent / name)
+                    ),
+                    "deep": deep,
+                    "engine": self.engine,
+                    "verify_checksums": self.verify_checksums,
+                }
+                for _, name in copy_names
+            ],
+            workers,
+            affinity=[
+                placement.get(self.manifest.shard_names[shard])
+                for shard, _ in copy_names
+            ],
+        )
+        with self._lock:
+            self.placement_hits += run.placement_hits
+            self.placement_fallbacks += run.placement_fallbacks
+        results = run.results
 
         by_shard: Dict[int, List[Tuple[str, Dict]]] = {}
         for (shard, name), result in zip(copy_names, results):
@@ -1207,54 +1061,6 @@ class ShardedArchiveReader:
                 "verified clean"
             )
         return report
-
-    def _verify_remote(
-        self,
-        copy_names: List[Tuple[int, str]],
-        args: List[Tuple],
-        workers,
-    ) -> List[Dict]:
-        """Verify every copy on socket workers, one ``verify_copy`` RPC per
-        copy, routed to the copy's shard's placed node (any-worker when
-        unplaced or the node is down — ``placement_fallbacks`` counts the
-        misses)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..coding.netexec import WorkerPool
-
-        pool, owns = WorkerPool.from_any(workers)
-        placement = self.manifest.placement
-        try:
-            live = pool.ensure_connected()
-
-            def run_copy(item: Tuple[Tuple[int, str], Tuple]) -> Dict:
-                (shard, _name), (target, deep, engine, verify_checksums) = item
-                preferred = placement.get(self.manifest.shard_names[shard])
-                result, node = pool.call(
-                    "verify_copy",
-                    {
-                        "target": target,
-                        "deep": deep,
-                        "engine": engine,
-                        "verify_checksums": verify_checksums,
-                    },
-                    preferred_node=preferred,
-                )
-                with self._lock:
-                    if preferred is not None:
-                        if node == preferred:
-                            self.placement_hits += 1
-                        else:
-                            self.placement_fallbacks += 1
-                return result
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(args), len(live))
-            ) as threads:
-                return list(threads.map(run_copy, zip(copy_names, args)))
-        finally:
-            if owns:
-                pool.disconnect()
 
     # -- lifecycle ----------------------------------------------------------------------
     def close(self) -> None:

@@ -29,9 +29,10 @@ The writer's configuration is one :class:`~repro.coding.spec.CodecSpec`
 (``writer.spec``).  Compression is delegated to the stage pipeline
 (:func:`repro.coding.pipeline.compress_frames`):
 :meth:`ArchiveWriter.append_batch` runs one pipeline call over the new
-frames — sharded across a process pool when
-``workers`` > 1 — and archives the resulting streams, accumulating the
-pipeline's per-stage wall-clock stats in ``writer.stats``.  Pre-compressed
+frames — sharded across a process pool or socket workers when
+``workers`` asks for it — and archives the resulting streams,
+accumulating the pipeline's per-stage wall-clock stats in
+``writer.stats``.  Pre-compressed
 batches (:meth:`ArchiveWriter.add_batch`) and single streams
 (:meth:`ArchiveWriter.add_stream`) are archived as is.
 """
@@ -43,7 +44,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..coding.executor import is_socket_workers
 from ..coding.pipeline import CompressedBatch, PipelineStats, compress_frames
 from ..coding.spec import CodecSpec, spec_or_default
 from .backend import StorageBackend, resolve_backend
@@ -79,8 +79,8 @@ class ArchiveWriter:
     """Writes a frame archive; use :meth:`create` or :meth:`append` to open.
 
     The codec configuration is a :class:`~repro.coding.spec.CodecSpec`
-    (``writer.spec``).  ``workers`` sets the default process-pool width
-    for :meth:`append_batch`.
+    (``writer.spec``).  ``workers`` sets the default ``workers=`` value
+    of :meth:`append_batch`.
     """
 
     def __init__(
@@ -106,7 +106,7 @@ class ArchiveWriter:
         #: Default workers for :meth:`append_batch` — a pool width
         #: (1 = serial) or socket worker addresses for distributed
         #: compression (:mod:`repro.coding.netexec`).
-        self.workers = workers if is_socket_workers(workers) else int(workers)
+        self.workers = workers
         #: Aggregated pipeline stats of every :meth:`append_batch`/:meth:`add_batch`
         #: call on this writer (wall-clock per stage, sizes, ratios).
         self.stats = PipelineStats()
@@ -260,14 +260,13 @@ class ArchiveWriter:
         self,
         frames: Sequence[np.ndarray],
         names: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
+        workers=None,
     ) -> List[FrameInfo]:
         """Compress ``frames`` through the stage pipeline and archive them.
 
-        ``workers`` overrides the writer's default pool width for this call;
-        any value > 1 shards the batch across a process pool
-        (:class:`~repro.coding.executor.ParallelExecutor`) with streams
-        byte-identical to serial compression.
+        ``workers`` overrides the writer's default for this call; it is
+        passed to :func:`~repro.coding.pipeline.compress_frames`, whose
+        pooled runs are byte-identical to serial compression.
         """
         batch = compress_frames(
             frames,

@@ -19,12 +19,7 @@ Public API
 
 from .bitstream import BitReader, BitWriter
 from .codec import CompressedImage, LosslessWaveletCodec, SubbandChunk
-from .executor import (
-    ParallelExecutor,
-    default_workers,
-    is_socket_workers,
-    make_executor,
-)
+from .executor import ShardRun, default_workers, run_shards
 from .pipeline import (
     CompressedBatch,
     PipelineStats,
@@ -113,10 +108,9 @@ __all__ = [
     "default_engine",
     "get_family",
     "register_codec",
-    "ParallelExecutor",
+    "ShardRun",
     "default_workers",
-    "is_socket_workers",
-    "make_executor",
+    "run_shards",
     "CompressedSImage",
     "STransformCodec",
     "STransformPyramid",

@@ -1,32 +1,42 @@
-"""Multi-core batch execution: shard a frame batch across a process pool.
+"""One shard-execution seam: serial, fork or socket, chosen in one place.
 
-The stage pipeline (:mod:`repro.coding.pipeline`) compresses frames
-independently — nothing flows between frames except statistics — so a
-batch parallelises by sharding: :class:`ParallelExecutor` deals frames
-round-robin onto ``workers`` shards, runs each shard through the ordinary
-serial pipeline in its own worker process, and reassembles streams (and
-per-frame accelerator reports) in the original frame order.  Because every
-worker runs exactly the code the serial path runs, the merged batch is
-**byte-identical** to serial execution for every codec/engine/transform
-combination; the property test in ``tests/coding/test_executor.py`` proves
-it and the scaling benchmark (``benchmarks/bench_pipeline_parallel.py``)
-measures the throughput.
+Every batch in this codebase scales out the same way: a list of *jobs* —
+one payload per shard, each naming a task from the socket worker's task
+table (:data:`~repro.coding.netexec.DEFAULT_HANDLERS`: ``compress``,
+``decompress``, ``verify_copy``, ``verify_frames``) — goes in, and the
+task results come back in job order.  :func:`run_shards` is the only code
+that decides *where* the jobs run, from the caller's ``workers=`` value:
 
-``workers=1`` degenerates to the serial path — no pool, no pickling, the
-exact code path :func:`~repro.coding.pipeline.compress_frames` runs.
+* ``1`` — **serial**: each handler runs in this process, no pickling;
+* an integer > 1 (or ``None``: :func:`default_workers`) — **fork**: a
+  ``concurrent.futures`` process pool of ``min(jobs, workers)`` processes
+  (a single job still runs serially — a pool of one buys nothing);
+* ``"host:port,host:port"``, a list of addresses, or a
+  :class:`~repro.coding.netexec.WorkerPool` — **socket**: one
+  :meth:`WorkerPool.call <repro.coding.netexec.WorkerPool.call>` per job
+  over live workers, with the pool's retry → reassign ladder underneath.
+  A pool built from addresses is owned (disconnected after the run); a
+  ``WorkerPool`` passed in is borrowed and keeps its connections.
 
-Stats semantics: each worker's per-stage wall clocks are summed into the
-merged :class:`~repro.coding.pipeline.PipelineStats` (so ``stage_seconds``
-reads as CPU seconds across the pool) while ``wall_seconds`` records the
-batch's true elapsed time and ``workers`` the pool size;
-``throughput_mpixels_per_s`` uses the elapsed time, so parallel speedup
-shows up directly.
+Because every transport runs the *same* handler on the *same* payload,
+results are byte-identical whichever one ran them; the byte-identity
+matrices in ``tests/coding/test_executor.py``, ``test_netexec.py`` and
+``tests/archive/test_transport_matrix.py`` prove it.
 
-The configuration travels to workers as a pickled
-:class:`~repro.coding.spec.CodecSpec`; frames and compressed streams are
-plain ``ndarray``/dataclass payloads, so no shared state exists between
-workers and the pool can use any start method (``fork`` is preferred when
-available — workers inherit the imported modules instead of re-importing).
+Batch callers (:func:`~repro.coding.pipeline.compress_frames`,
+``decode_all``, ``ArchiveReader.verify``) deal their items round-robin
+onto :func:`shard_width` shards with :func:`shard_indices` and restore
+input order with :func:`merge_shard_results`; the sharded archive layer
+builds one job per shard group or shard copy instead.  The archive layer's
+placement maps ride along as ``affinity`` — one preferred node id per
+job, read only by the socket backend, which counts ``placement_hits`` and
+``placement_fallbacks``.
+
+Stats semantics (:class:`ShardRun`): ``workers`` is ``min(jobs, width)``
+on every transport — 1 when serial — and ``wall_seconds`` is the pooled
+run's elapsed time (0.0 when serial, where stage seconds are the wall
+clock), so a caller folding the per-job
+:class:`~repro.coding.pipeline.PipelineStats` reads exactly as before.
 """
 
 from __future__ import annotations
@@ -34,27 +44,23 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pipeline import (
-    CompressedBatch,
-    PipelineStats,
-    compress_frames,
-    decompress_frames,
-)
-from .spec import CodecSpec, spec_or_default
+from .netexec import DEFAULT_HANDLERS, WorkerPool, parse_worker_addresses
+from .pipeline import PipelineStats
 
 __all__ = [
-    "ParallelExecutor",
+    "ShardRun",
     "default_workers",
-    "is_socket_workers",
-    "make_executor",
     "merge_shard_results",
     "pool_context",
+    "run_shards",
     "shard_indices",
+    "shard_width",
 ]
 
 
@@ -92,21 +98,6 @@ def pool_context():
         return None
 
 
-def _compress_shard(
-    spec: CodecSpec, frames: List[np.ndarray]
-) -> Tuple[List, PipelineStats]:
-    """Worker entry point: serial-compress one shard, return streams + stats."""
-    batch = compress_frames(frames, spec=spec)
-    return batch.streams, batch.stats
-
-
-def _decompress_shard(
-    spec: CodecSpec, streams: List
-) -> Tuple[List[np.ndarray], PipelineStats]:
-    """Worker entry point: serial-decode one shard's streams."""
-    return decompress_frames(CompressedBatch(spec, streams))
-
-
 def shard_indices(count: int, shards: int) -> List[List[int]]:
     """Round-robin deal of ``count`` items onto at most ``shards`` shards.
 
@@ -127,10 +118,7 @@ def merge_shard_results(
     The inverse of :func:`shard_indices`: items return to their input
     positions, the per-shard :class:`PipelineStats` are merged, and
     accelerator reports (which arrive shard by shard) are restored to
-    frame order so merged stats read exactly like serial stats.  Shared by
-    the fork-pool executor and the socket-pool executor
-    (:mod:`repro.coding.netexec`) — the merge, like the shard contract, is
-    transport-independent.
+    frame order so merged stats read exactly like serial stats.
     """
     merged_items: List = [None] * count
     stats = PipelineStats()
@@ -151,101 +139,140 @@ def merge_shard_results(
     return merged_items, stats
 
 
-def is_socket_workers(workers) -> bool:
-    """Whether a ``workers=`` value names socket workers, not a pool width.
+@dataclass
+class ShardRun:
+    """What one :func:`run_shards` call did.
 
-    Integers (and ``None``) mean a local fork pool; anything else — an
-    ``"host:port,host:port"`` address string, a
-    :class:`~repro.coding.netexec.WorkerPool`, a list of addresses — is
-    handed to the socket-pool executor.  The helper lives here (not in
-    :mod:`~repro.coding.netexec`) so call sites can branch without
-    importing the network layer.
-    """
-    return workers is not None and not isinstance(workers, (int, np.integer))
-
-
-def make_executor(workers):
-    """Resolve a ``workers=`` value to the executor that runs it.
-
-    ``None`` or an integer builds a :class:`ParallelExecutor` (local fork
-    pool; 1 degenerates to serial).  Worker addresses
-    (``"host:port,host:port"``), a list of addresses, or a ready
-    :class:`~repro.coding.netexec.WorkerPool` build a
-    :class:`~repro.coding.netexec.SocketPoolExecutor` over the remote
-    workers — the seam that lets ``compress_frames(..., workers=...)``
-    and every archive call site scale past one host with zero signature
-    changes.
-    """
-    if not is_socket_workers(workers):
-        return ParallelExecutor(None if workers is None else int(workers))
-    from .netexec import SocketPoolExecutor
-
-    if isinstance(workers, SocketPoolExecutor):
-        return workers
-    return SocketPoolExecutor(workers)
-
-
-class ParallelExecutor:
-    """Shards frame batches across a ``concurrent.futures`` process pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; ``None`` means one worker per available CPU, ``1`` means
-        run serially in this process (no pool at all).
+    ``results`` holds one handler result per job, in job order;
+    ``transport`` is the backend that actually ran them (``"serial"``,
+    ``"fork"`` or ``"socket"``); ``workers`` is ``min(jobs, width)`` (1
+    when serial); ``wall_seconds`` is the pooled run's elapsed time (0.0
+    when serial).  The placement counters are the socket backend's
+    routing evidence: jobs served by their ``affinity`` node, and jobs
+    with an affinity that another worker had to serve.
     """
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is None:
-            workers = default_workers()
+    results: List
+    transport: str
+    workers: int = 1
+    wall_seconds: float = 0.0
+    placement_hits: int = 0
+    placement_fallbacks: int = 0
+
+
+def _transport(workers) -> Tuple[str, int]:
+    """The one ``workers=`` check: ``(transport, width)``.
+
+    ``None`` resolves through :func:`default_workers`; integers (Python or
+    numpy) must be >= 1 and mean serial (1) or fork; anything else names
+    socket workers, whose width is the pool's live count or the number of
+    addresses.
+    """
+    if workers is None:
+        workers = default_workers()
+    if isinstance(workers, (int, np.integer)):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
+        return ("serial" if workers == 1 else "fork"), int(workers)
+    if isinstance(workers, WorkerPool):
+        return "socket", workers.live_count
+    return "socket", len(parse_worker_addresses(workers))
 
-    # -- helpers ------------------------------------------------------------------------
-    def _run_sharded(self, task, spec: CodecSpec, items: List) -> Tuple[List, PipelineStats]:
-        """Fan ``items`` out over the pool; return per-item results in order."""
-        shards = shard_indices(len(items), self.workers)
-        began = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=pool_context()
-        ) as pool:
-            futures = [
-                pool.submit(task, spec, [items[i] for i in indices])
-                for indices in shards
-            ]
-            results = [future.result() for future in futures]
-        wall = time.perf_counter() - began
-        merged_items, stats = merge_shard_results(shards, results, len(items))
-        stats.workers = len(shards)
-        stats.wall_seconds = wall
-        return merged_items, stats
 
-    # -- public API ---------------------------------------------------------------------
-    def compress(
-        self,
-        frames: Sequence[np.ndarray],
-        spec: Optional[CodecSpec] = None,
-    ) -> CompressedBatch:
-        """Compress a batch, sharded across the pool; byte-identical to serial.
+def shard_width(workers) -> int:
+    """How many shards a round-robin deal over ``workers`` should use.
 
-        ``spec`` is the whole configuration (``None`` means ``CodecSpec()``).
-        """
-        spec = spec_or_default(spec)
-        frames = [np.asarray(frame) for frame in frames]
-        if self.workers == 1 or len(frames) <= 1:
-            return compress_frames(frames, spec=spec)
-        streams, stats = self._run_sharded(_compress_shard, spec, frames)
-        return CompressedBatch(spec, streams, stats)
+    Validates ``workers`` exactly as :func:`run_shards` does, so callers
+    that deal items before running (or that must stay in-process, e.g.
+    with an injected storage backend) reject bad values identically.
+    """
+    return _transport(workers)[1]
 
-    def decompress(
-        self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
-    ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode a batch, sharded across the pool; bit-identical to serial."""
-        spec = spec if spec is not None else batch.spec
-        if self.workers == 1 or len(batch.streams) <= 1:
-            if batch.spec != spec:
-                batch = CompressedBatch(spec, batch.streams)
-            return decompress_frames(batch)
-        frames, stats = self._run_sharded(_decompress_shard, spec, list(batch.streams))
-        return frames, stats
+
+def _run_handler(kind: str, job):
+    """Process-pool entry point: run one task-table handler."""
+    return DEFAULT_HANDLERS[kind](job)
+
+
+def _materialize(kind: str, jobs: List) -> None:
+    """Copy zero-copy stream views to bytes before jobs leave the process:
+    views of a reader's mmap neither pickle nor outlive the mapping."""
+    if kind != "decompress":
+        return
+    from ..archive.serialize import materialize_stream
+
+    for job in jobs:
+        for stream in job["items"]:
+            materialize_stream(stream)
+
+
+def run_shards(
+    kind: str,
+    jobs: Sequence,
+    workers,
+    affinity: Optional[Sequence[Optional[str]]] = None,
+) -> ShardRun:
+    """Run one task-table handler per job on the transport ``workers`` names.
+
+    ``kind`` is a key of :data:`~repro.coding.netexec.DEFAULT_HANDLERS`;
+    ``jobs`` are its payloads, one per shard.  ``affinity`` (one node id or
+    ``None`` per job) routes each job to its placed socket worker when that
+    node is alive; the serial and fork backends ignore it.  Results return
+    in job order whichever transport ran them; a failing job's exception
+    propagates (the other jobs of a pooled run finish first).
+    """
+    transport, width = _transport(workers)
+    jobs = list(jobs)
+    if not jobs or (transport == "fork" and len(jobs) == 1):
+        transport = "serial"
+    if transport == "serial":
+        handler = DEFAULT_HANDLERS[kind]
+        return ShardRun([handler(job) for job in jobs], "serial")
+    _materialize(kind, jobs)
+    began = time.perf_counter()
+    if transport == "fork":
+        width = min(len(jobs), width)
+        with ProcessPoolExecutor(max_workers=width, mp_context=pool_context()) as pool:
+            futures = [pool.submit(_run_handler, kind, job) for job in jobs]
+            run = ShardRun([future.result() for future in futures], "fork", width)
+    else:
+        run = _run_socket(kind, jobs, workers, affinity or [None] * len(jobs))
+    run.wall_seconds = time.perf_counter() - began
+    return run
+
+
+def _run_socket(kind: str, jobs: List, workers, affinity: Sequence) -> ShardRun:
+    """Socket backend: one ``WorkerPool.call`` per job, ``min(jobs, live)``
+    in flight, job ``i`` preferring its affinity node, then live worker
+    ``i mod live``."""
+    pool, owns = WorkerPool.from_any(workers)
+    try:
+        live = pool.ensure_connected()
+
+        def call(position: int) -> Tuple[Dict, Optional[str]]:
+            return pool.call(
+                kind,
+                jobs[position],
+                preferred_index=live[position % len(live)],
+                preferred_node=affinity[position],
+            )
+
+        width = min(len(jobs), len(live))
+        with ThreadPoolExecutor(max_workers=width) as threads:
+            outcomes = list(threads.map(call, range(len(jobs))))
+    finally:
+        if owns:
+            pool.disconnect()
+    placed = [
+        (node, preferred)
+        for (_, node), preferred in zip(outcomes, affinity)
+        if preferred is not None
+    ]
+    hits = sum(1 for node, preferred in placed if node == preferred)
+    return ShardRun(
+        [result for result, _ in outcomes],
+        "socket",
+        width,
+        placement_hits=hits,
+        placement_fallbacks=len(placed) - hits,
+    )

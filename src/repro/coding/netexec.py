@@ -1,11 +1,11 @@
-"""Distributed socket-pool execution: the fork-pool shard contract over TCP.
+"""Distributed socket-pool execution: the shard task table over TCP.
 
-:class:`~repro.coding.executor.ParallelExecutor` established the scale-out
-contract of this codebase — a pickled :class:`~repro.coding.spec.CodecSpec`
-plus a round-robin frame shard goes in, streams plus merged
-:class:`~repro.coding.pipeline.PipelineStats` come out, and the client
-reassembles shards in frame order.  This module speaks exactly that
-contract over sockets, so a batch can fan out past one host's cores:
+The shard-execution seam (:func:`~repro.coding.executor.run_shards`) runs
+every scale-out job — a task name plus its payload, e.g. a
+:class:`~repro.coding.spec.CodecSpec` and a round-robin frame shard — by
+looking the task up in :data:`DEFAULT_HANDLERS`, in this process, in a
+fork pool, or on the socket workers of this module.  The workers serve
+that same table, so a batch can fan out past one host's cores:
 
 ``SocketWorker`` / ``python -m repro.netexec worker --listen host:port``
     A stdlib-only worker process: accepts connections, performs the
@@ -20,12 +20,12 @@ contract over sockets, so a batch can fan out past one host's cores:
     :class:`~repro.archive.backend.RetryPolicy` ladder from PR 6 and then
     **reassigned** to another live worker (``worker_failures`` /
     ``reassignments`` counters account every switch exactly).
-``SocketPoolExecutor``
-    Drop-in peer of :class:`ParallelExecutor` behind the
-    :func:`~repro.coding.executor.make_executor` seam — so
-    ``compress_frames(..., workers="host:port,host:port")`` (and
-    ``append_batch`` / ``verify`` / ``decode_all`` on the archive side)
-    scale out with zero call-site changes.
+
+``run_shards`` reaches this module whenever ``workers=`` names socket
+workers — ``"host:port,host:port"``, a list of addresses, or a
+:class:`WorkerPool` — so ``compress_frames(..., workers=...)`` and
+``append_batch`` / ``verify`` / ``decode_all`` on the archive side scale
+out with zero call-site changes.
 
 Wire protocol (version 1) — every message is one length-prefixed,
 CRC-framed unit, all integers little-endian::
@@ -67,16 +67,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .executor import merge_shard_results, shard_indices
-from .pipeline import (
-    CompressedBatch,
-    PipelineStats,
-    compress_frames,
-    decompress_frames,
-)
-from .spec import CodecSpec, spec_or_default
+from .pipeline import decode_shard, encode_shard
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -94,7 +85,6 @@ __all__ = [
     "SocketWorker",
     "WorkerClient",
     "WorkerPool",
-    "SocketPoolExecutor",
     "start_local_worker",
     "local_worker_pool",
     "main",
@@ -312,22 +302,20 @@ def _format_address(address: Tuple[str, int]) -> str:
 
 def _job_compress(payload: Dict) -> Dict:
     """SUBMIT kind ``compress``: serial-compress one frame shard."""
-    batch = compress_frames(payload["items"], spec=payload["spec"])
-    return {"items": batch.streams, "stats": batch.stats}
+    streams, stats = encode_shard(payload["spec"], payload["items"])
+    return {"items": streams, "stats": stats}
 
 
 def _job_decompress(payload: Dict) -> Dict:
     """SUBMIT kind ``decompress``: serial-decode one stream shard."""
-    frames, stats = decompress_frames(
-        CompressedBatch(payload["spec"], payload["items"])
-    )
+    frames, stats = decode_shard(payload["spec"], payload["items"])
     return {"items": frames, "stats": stats}
 
 
 def _job_verify_copy(payload: Dict) -> Dict:
     """SUBMIT kind ``verify_copy``: verify one archive container (the
-    sharded set's per-copy unit; the worker must see the same filesystem,
-    exactly like the fork-pool verify workers it replaces)."""
+    sharded set's per-copy unit; a pooled worker must see the set's
+    filesystem, since the copy is reopened by path)."""
     from ..archive.sharding import _verify_copy_worker
 
     return _verify_copy_worker(
@@ -841,8 +829,6 @@ class WorkerPool:
         build one from addresses (owned — the caller should disconnect)."""
         if isinstance(workers, WorkerPool):
             return workers, False
-        if isinstance(workers, SocketPoolExecutor):
-            return workers.pool, False
         return cls(workers), True
 
     # -- bookkeeping --------------------------------------------------------------------
@@ -1003,111 +989,6 @@ class WorkerPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.disconnect()
-
-
-# ---------------------------------------------------------------------------
-# Executor
-# ---------------------------------------------------------------------------
-
-class SocketPoolExecutor:
-    """Shards frame batches across a pool of socket workers.
-
-    The drop-in network peer of
-    :class:`~repro.coding.executor.ParallelExecutor`: same shard contract
-    (spec + shard in, streams + stats out), same frame-order merge
-    (:func:`~repro.coding.executor.merge_shard_results`), and therefore
-    the same guarantee — output **byte-identical** to serial execution —
-    with the worker-death → reassignment ladder of :class:`WorkerPool`
-    underneath.
-
-    ``workers`` may be an ``"host:port,host:port"`` string, a list of
-    addresses, or a ready :class:`WorkerPool`.  A pool built here from
-    addresses is *owned*: its connections are closed after each batch (and
-    on :meth:`close`), so one-shot ``compress_frames(...,
-    workers="...")`` calls never leak sockets.  A caller-provided pool is
-    borrowed and its connections persist across batches.
-    """
-
-    def __init__(self, workers, retry=None) -> None:
-        if isinstance(workers, SocketPoolExecutor):
-            self.pool, self._owns_pool = workers.pool, False
-        elif isinstance(workers, WorkerPool):
-            self.pool, self._owns_pool = workers, False
-        else:
-            self.pool, self._owns_pool = WorkerPool(workers, retry=retry), True
-
-    @property
-    def workers(self) -> int:
-        """Pool width (address count), for stats parity with the fork pool."""
-        return self.pool.width
-
-    # -- helpers ------------------------------------------------------------------------
-    def _run_sharded(self, kind: str, spec: CodecSpec, items: List):
-        from concurrent.futures import ThreadPoolExecutor
-
-        began = time.perf_counter()
-        try:
-            live = self.pool.ensure_connected()
-            shards = shard_indices(len(items), len(live))
-            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
-                futures = [
-                    threads.submit(
-                        self.pool.call,
-                        kind,
-                        {"spec": spec, "items": [items[i] for i in indices]},
-                        live[position % len(live)],
-                    )
-                    for position, indices in enumerate(shards)
-                ]
-                results = [future.result() for future in futures]
-        finally:
-            if self._owns_pool:
-                self.pool.disconnect()
-        wall = time.perf_counter() - began
-        merged_items, stats = merge_shard_results(
-            shards, [(r["items"], r["stats"]) for r, _node in results], len(items)
-        )
-        stats.workers = len(shards)
-        stats.wall_seconds = wall
-        return merged_items, stats
-
-    # -- public API ---------------------------------------------------------------------
-    def compress(
-        self,
-        frames: Sequence[np.ndarray],
-        spec: Optional[CodecSpec] = None,
-    ) -> CompressedBatch:
-        """Compress a batch across the socket pool; byte-identical to serial.
-
-        ``spec`` is the whole configuration (``None`` means ``CodecSpec()``).
-        """
-        spec = spec_or_default(spec)
-        frames = [np.asarray(frame) for frame in frames]
-        if not frames:
-            return compress_frames(frames, spec=spec)
-        streams, stats = self._run_sharded("compress", spec, frames)
-        return CompressedBatch(spec, streams, stats)
-
-    def decompress(
-        self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
-    ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode a batch across the socket pool; bit-identical to serial."""
-        spec = spec if spec is not None else batch.spec
-        if not batch.streams:
-            if batch.spec != spec:
-                batch = CompressedBatch(spec, batch.streams)
-            return decompress_frames(batch)
-        return self._run_sharded("decompress", spec, list(batch.streams))
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self.pool.disconnect()
-
-    def __enter__(self) -> "SocketPoolExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ pipeline itself is a :class:`StagePipeline` of :class:`Stage` objects:
 
 Each stage's wall clock is folded into :class:`PipelineStats` under the
 stage's name, so the stats model is identical whether a batch ran through
-the convenience functions, a custom stage composition, or the multi-core
-:class:`~repro.coding.executor.ParallelExecutor` (``workers=N`` on either
-convenience function shards the batch across a process pool and merges the
-per-stage stats; the streams are byte-identical to serial execution).
+the convenience functions, a custom stage composition, or the shard seam
+:func:`~repro.coding.executor.run_shards` (``workers=`` on either
+convenience function shards the batch across a process pool or socket
+workers and merges the per-stage stats; the streams are byte-identical to
+serial execution).
 
 ``transform="accelerator"`` replaces the software transform with the
 cycle-accurate architecture model
@@ -76,6 +77,8 @@ __all__ = [
     "encode_pipeline",
     "decode_pipeline",
     "encode_frame",
+    "encode_shard",
+    "decode_shard",
     "compress_frames",
     "decompress_frames",
     "resource_cache_info",
@@ -293,13 +296,13 @@ class _InstanceLRU:
 
 #: Process-wide instance cache: codec construction amortises the word-length
 #: plan across batches, CLI invocations in one process, ingest threads —
-#: and, via fork, across the executor's and the sharded writer's worker
-#: processes, which inherit the parent's warm cache.  Codecs only: their
-#: state is fixed at construction, so one instance can serve concurrent
-#: runs.  Accelerators stay per-:class:`CodecResources` — a
-#: :class:`DwtAccelerator` run mutates its DRAM model and counters, so a
-#: shared instance would corrupt concurrent encodes (and each one pins an
-#: image-sized frame buffer, which a process-wide cache would never free).
+#: and, via fork, across the shard seam's worker processes, which inherit
+#: the parent's warm cache.  Codecs only: their state is fixed at
+#: construction, so one instance can serve concurrent runs.  Accelerators
+#: stay per-:class:`CodecResources` — a :class:`DwtAccelerator` run
+#: mutates its DRAM model and counters, so a shared instance would corrupt
+#: concurrent encodes (and each one pins an image-sized frame buffer,
+#: which a process-wide cache would never free).
 _RESOURCE_CACHE = _InstanceLRU(maxsize=64)
 
 
@@ -543,86 +546,31 @@ def encode_frame(
     return stream
 
 
-def compress_frames(
-    frames: Sequence[np.ndarray],
-    spec: Optional[CodecSpec] = None,
-    workers: int = 1,
-) -> CompressedBatch:
-    """Losslessly compress a batch of integer frames end to end.
+def encode_shard(
+    spec: CodecSpec, frames: Sequence[np.ndarray]
+) -> Tuple[List[Union[CompressedImage, CompressedSImage]], PipelineStats]:
+    """Serially compress one shard of frames in this process.
 
-    ``frames`` may mix sizes; each frame is decomposed to
-    ``min(scales, deepest depth its geometry supports)``.  Per-stage
-    wall-clock totals are accumulated in the returned batch's ``stats``.
-
-    The configuration is one :class:`~repro.coding.spec.CodecSpec`;
-    ``None`` means ``CodecSpec()`` (s-transform codec, 4 scales, software
-    transform and the :func:`~repro.coding.spec.default_engine` entropy
-    tier — ``fast``, or ``scalar`` when ``REPRO_ENGINE`` forces it).
-
-    ``workers=N`` (N > 1) shards the batch across a process pool
-    (:class:`~repro.coding.executor.ParallelExecutor`);
-    ``workers="host:port,host:port"`` (or a
-    :class:`~repro.coding.netexec.WorkerPool`) shards it across remote
-    socket workers instead (:class:`~repro.coding.netexec.SocketPoolExecutor`).
-    Either way the streams are byte-identical to the serial run and
-    ``stats.wall_seconds`` records the parallel elapsed time.
-
-    A spec with ``transform="accelerator"`` replaces the software
-    transform stage with the cycle-accurate accelerator model
-    (``"coefficient"`` codec, square frames); its per-frame run reports
-    land in ``stats.accelerator_reports`` and the streams stay
-    bit-identical to the software path.
+    The unit of work behind the ``compress`` task that
+    :func:`~repro.coding.executor.run_shards` runs on every transport.
     """
-    spec = spec_or_default(spec)
-    if workers != 1:
-        from .executor import make_executor
-
-        return make_executor(workers).compress(frames, spec)
     resources = CodecResources(spec)
     pipeline = encode_pipeline()
     stats = PipelineStats()
-    streams: List[Union[CompressedImage, CompressedSImage]] = [
-        encode_frame(frame, spec, resources, stats, pipeline) for frame in frames
-    ]
-    return CompressedBatch(spec, streams, stats)
+    streams = [encode_frame(frame, spec, resources, stats, pipeline) for frame in frames]
+    return streams, stats
 
 
-def decompress_frames(
-    batch: CompressedBatch,
-    engine: Optional[str] = None,
-    transform: Optional[str] = None,
-    transform_engine: Optional[str] = None,
-    workers: int = 1,
+def decode_shard(
+    spec: CodecSpec, streams: Sequence[Union[CompressedImage, CompressedSImage]]
 ) -> Tuple[List[np.ndarray], PipelineStats]:
-    """Reconstruct every frame of a batch bit for bit.
-
-    Returns ``(frames, stats)``; ``engine`` overrides the batch's engine,
-    ``transform`` its transform back end and ``transform_engine`` its
-    accelerator engine — each only when given, so an omitted override
-    keeps the batch spec's stored value (the streams are wire-compatible
-    across engines *and* transforms, because the accelerator model is
-    bit-identical to the software transform).  ``workers=N`` decodes the
-    batch through the process-pool executor.
-    """
-    overrides = {
-        name: value
-        for name, value in (
-            ("engine", engine),
-            ("transform", transform),
-            ("transform_engine", transform_engine),
-        )
-        if value is not None
-    }
-    spec = batch.spec.replace(**overrides) if overrides else batch.spec
-    if workers != 1:
-        from .executor import make_executor
-
-        return make_executor(workers).decompress(batch, spec=spec)
+    """Serially reconstruct one shard of streams in this process (the
+    ``decompress`` task's unit of work)."""
     resources = CodecResources(spec)
     pipeline = decode_pipeline()
     stats = PipelineStats()
     frames: List[np.ndarray] = []
-    for stream in batch.streams:
+    for stream in streams:
         job = FrameJob(
             spec=spec,
             resources=resources,
@@ -638,3 +586,90 @@ def decompress_frames(
         stats.compressed_bytes += stream.compressed_bytes
         frames.append(frame)
     return frames, stats
+
+
+def _run_batch(kind: str, spec: CodecSpec, items: List, workers) -> Tuple[List, PipelineStats]:
+    """Deal ``items`` round-robin over the shard-execution seam and merge
+    the results (and stats) back in input order."""
+    from .executor import merge_shard_results, run_shards, shard_indices, shard_width
+
+    shards = shard_indices(len(items), shard_width(workers)) if items else []
+    run = run_shards(
+        kind,
+        [{"spec": spec, "items": [items[i] for i in indices]} for indices in shards],
+        workers,
+    )
+    merged, stats = merge_shard_results(
+        shards, [(result["items"], result["stats"]) for result in run.results], len(items)
+    )
+    stats.workers = run.workers
+    stats.wall_seconds = run.wall_seconds
+    return merged, stats
+
+
+def compress_frames(
+    frames: Sequence[np.ndarray],
+    spec: Optional[CodecSpec] = None,
+    workers=1,
+) -> CompressedBatch:
+    """Losslessly compress a batch of integer frames end to end.
+
+    ``frames`` may mix sizes; each frame is decomposed to
+    ``min(scales, deepest depth its geometry supports)``.  Per-stage
+    wall-clock totals are accumulated in the returned batch's ``stats``.
+
+    The configuration is one :class:`~repro.coding.spec.CodecSpec`;
+    ``None`` means ``CodecSpec()`` (s-transform codec, 4 scales, software
+    transform and the :func:`~repro.coding.spec.default_engine` entropy
+    tier — ``fast``, or ``scalar`` when ``REPRO_ENGINE`` forces it).
+
+    ``workers`` picks where the work runs, through
+    :func:`~repro.coding.executor.run_shards`: ``1`` serially in this
+    process, ``N`` (N > 1) sharded across a process pool,
+    ``"host:port,host:port"`` (or a
+    :class:`~repro.coding.netexec.WorkerPool`) across socket workers.
+    Either way the streams are byte-identical to the serial run; pooled
+    runs record their elapsed time in ``stats.wall_seconds``.
+
+    A spec with ``transform="accelerator"`` replaces the software
+    transform stage with the cycle-accurate accelerator model
+    (``"coefficient"`` codec, square frames); its per-frame run reports
+    land in ``stats.accelerator_reports`` and the streams stay
+    bit-identical to the software path.
+    """
+    spec = spec_or_default(spec)
+    streams, stats = _run_batch(
+        "compress", spec, [np.asarray(frame) for frame in frames], workers
+    )
+    return CompressedBatch(spec, streams, stats)
+
+
+def decompress_frames(
+    batch: CompressedBatch,
+    engine: Optional[str] = None,
+    transform: Optional[str] = None,
+    transform_engine: Optional[str] = None,
+    workers=1,
+) -> Tuple[List[np.ndarray], PipelineStats]:
+    """Reconstruct every frame of a batch bit for bit.
+
+    Returns ``(frames, stats)``; ``engine`` overrides the batch's engine,
+    ``transform`` its transform back end and ``transform_engine`` its
+    accelerator engine — each only when given, so an omitted override
+    keeps the batch spec's stored value (the streams are wire-compatible
+    across engines *and* transforms, because the accelerator model is
+    bit-identical to the software transform).  ``workers`` shards the
+    decode exactly as in :func:`compress_frames`; streams holding
+    zero-copy views are copied to bytes before they leave the process.
+    """
+    overrides = {
+        name: value
+        for name, value in (
+            ("engine", engine),
+            ("transform", transform),
+            ("transform_engine", transform_engine),
+        )
+        if value is not None
+    }
+    spec = batch.spec.replace(**overrides) if overrides else batch.spec
+    return _run_batch("decompress", spec, list(batch.streams), workers)

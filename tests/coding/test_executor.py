@@ -1,4 +1,4 @@
-"""Parallel/serial byte-identity of the multi-core executor.
+"""Parallel/serial byte-identity of the shard-execution seam.
 
 The contract under test: sharding a batch across a process pool changes
 *nothing* about the streams — every codec/engine/transform combination
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.coding import compress_frames, decompress_frames
-from repro.coding.executor import ParallelExecutor, default_workers
+from repro.coding.executor import default_workers
 from repro.coding.pipeline import PipelineStats
 from repro.coding.spec import CodecSpec
 from repro.imaging.mr import mr_slice
@@ -142,34 +142,36 @@ class TestByteIdentity:
 class TestExecutorApi:
     def test_workers_one_degenerates_to_serial(self):
         frames = [shepp_logan(32)] * 3
-        executor = ParallelExecutor(1)
-        batch = executor.compress(frames, CodecSpec(scales=2))
+        batch = compress_frames(frames, spec=CodecSpec(scales=2), workers=1)
         assert batch.stats.workers == 1
         assert batch.stats.wall_seconds == 0.0  # serial path: no pool ran
 
     def test_single_frame_skips_the_pool(self):
-        batch = ParallelExecutor(4).compress([shepp_logan(32)], CodecSpec(scales=2))
+        batch = compress_frames([shepp_logan(32)], spec=CodecSpec(scales=2), workers=4)
         assert batch.stats.workers == 1
+        assert batch.stats.wall_seconds == 0.0
 
     def test_more_workers_than_frames(self):
         frames = [shepp_logan(32), random_image(32, seed=1)]
-        batch = ParallelExecutor(8).compress(frames, CodecSpec(scales=2))
+        batch = compress_frames(frames, spec=CodecSpec(scales=2), workers=8)
         assert batch.stats.workers == 2  # shards are capped at the frame count
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
-            ParallelExecutor(0)
+            compress_frames([shepp_logan(32)], spec=CodecSpec(scales=2), workers=0)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
     def test_compress_takes_spec_only(self):
-        batch = ParallelExecutor(2).compress(
-            [shepp_logan(32)] * 2, spec=CodecSpec(codec="s-transform", scales=2)
+        batch = compress_frames(
+            [shepp_logan(32)] * 2,
+            spec=CodecSpec(codec="s-transform", scales=2),
+            workers=2,
         )
         assert batch.spec == CodecSpec(scales=2)
         with pytest.raises(TypeError):
-            ParallelExecutor(2).compress([shepp_logan(32)], codec="s-transform")
+            compress_frames([shepp_logan(32)], codec="s-transform", workers=2)
 
     def test_merge_keeps_serial_elapsed_time(self):
         """Merging a serial run into a parallel one must not drop the
@@ -209,4 +211,4 @@ class TestExecutorApi:
     def test_errors_propagate_from_workers(self):
         bad = [np.full((32, 32), 1 << 14, dtype=np.int64)]  # outside 12-bit range
         with pytest.raises(ValueError, match="range"):
-            ParallelExecutor(2).compress(bad * 4, CodecSpec(scales=2))
+            compress_frames(bad * 4, spec=CodecSpec(scales=2), workers=2)

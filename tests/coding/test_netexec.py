@@ -1,4 +1,4 @@
-"""Distributed socket-pool execution: byte-identity and the executor seam.
+"""Distributed socket-pool execution: byte-identity and the shard seam.
 
 The contract under test mirrors ``test_executor.py`` over TCP: sharding a
 batch across socket workers changes *nothing* about the streams — both
@@ -16,17 +16,11 @@ import numpy as np
 import pytest
 
 from repro.coding import compress_frames, decompress_frames
-from repro.coding.executor import (
-    ParallelExecutor,
-    default_workers,
-    is_socket_workers,
-    make_executor,
-)
+from repro.coding.executor import default_workers, run_shards
 from repro.coding.netexec import (
     MSG_HEARTBEAT,
     MSG_HELLO,
     PROTOCOL_VERSION,
-    SocketPoolExecutor,
     SocketWorker,
     WorkerClient,
     WorkerPool,
@@ -139,31 +133,40 @@ class TestByteIdentity:
         """Transport does not matter: socket shards == fork shards == serial."""
         frames = mixed_batch_32()
         spec = CodecSpec(codec="s-transform", scales=3)
-        fork = ParallelExecutor(2).compress(frames, spec)
-        sockets = SocketPoolExecutor(",".join(addresses[:2])).compress(frames, spec)
+        fork = compress_frames(frames, spec=spec, workers=2)
+        sockets = compress_frames(frames, spec=spec, workers=",".join(addresses[:2]))
         for a, b in zip(fork.streams, sockets.streams):
             assert _chunks(a) == _chunks(b)
 
 
 class TestExecutorSeam:
-    def test_is_socket_workers_classification(self):
-        assert not is_socket_workers(None)
-        assert not is_socket_workers(1)
-        assert not is_socket_workers(4)
-        assert not is_socket_workers(np.int64(2))
-        assert is_socket_workers("127.0.0.1:9999")
-        assert is_socket_workers(["127.0.0.1:9999"])
+    def test_run_shards_classifies_workers(self, monkeypatch):
+        """Integers (Python or numpy) mean the local pool — 1 serial, more
+        a fork pool, ``None`` the default width — and results come back in
+        job order."""
+        jobs = ["a", "b", "c"]
+        assert run_shards("echo", jobs, 1).transport == "serial"
+        for workers in (2, 4, np.int64(2)):
+            run = run_shards("echo", jobs, workers)
+            assert (run.transport, run.results) == ("fork", jobs)
+            assert run.workers == min(3, int(workers))
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert run_shards("echo", jobs, None).transport == "fork"
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert run_shards("echo", jobs, None).transport == "serial"
 
-    def test_make_executor_resolves_transport(self, addresses):
-        assert isinstance(make_executor(None), ParallelExecutor)
-        assert isinstance(make_executor(2), ParallelExecutor)
-        executor = make_executor(",".join(addresses[:2]))
-        assert isinstance(executor, SocketPoolExecutor)
-        assert executor.workers == 2
-        # An executor passes through unchanged, a pool is borrowed.
-        assert make_executor(executor) is executor
-        pool = WorkerPool(addresses[:2])
-        assert make_executor(pool).pool is pool
+    def test_run_shards_resolves_socket_transport(self, addresses):
+        """Address strings and lists mean socket workers; a WorkerPool is
+        borrowed — used as is and left connected."""
+        jobs = ["a", "b", "c"]
+        for workers in (",".join(addresses[:2]), addresses[:2]):
+            run = run_shards("echo", jobs, workers)
+            assert (run.transport, run.results, run.workers) == ("socket", jobs, 2)
+        with WorkerPool(addresses[:2]) as pool:
+            run = run_shards("echo", jobs, pool)
+            assert (run.transport, run.results, run.workers) == ("socket", jobs, 2)
+            assert pool.submits == 3
+            assert all(client.connected for client in pool._clients.values())
 
     def test_borrowed_pool_persists_connections(self, addresses):
         frames = [shepp_logan(32), random_image(32, seed=3)]
@@ -174,20 +177,29 @@ class TestExecutorSeam:
             compress_frames(frames, spec=CodecSpec(scales=2), workers=pool)
             assert pool.submits == 4  # two batches x two shards, same pool
 
-    def test_owned_pool_disconnects_after_batch(self, addresses):
-        executor = SocketPoolExecutor(",".join(addresses[:2]))
-        executor.compress([shepp_logan(32)] * 4, CodecSpec(scales=2))
-        assert executor.pool._clients == {}  # no leaked sockets
+    def test_owned_pool_disconnects_after_batch(self, addresses, monkeypatch):
+        left_open = []
+        disconnect = WorkerPool.disconnect
+
+        def spy(pool):
+            disconnect(pool)
+            left_open.append(dict(pool._clients))
+
+        monkeypatch.setattr(WorkerPool, "disconnect", spy)
+        compress_frames(
+            [shepp_logan(32)] * 4,
+            spec=CodecSpec(scales=2),
+            workers=",".join(addresses[:2]),
+        )
+        assert left_open == [{}]  # the owned pool closed, no leaked sockets
 
     def test_empty_batch_degenerates_to_serial(self, addresses):
-        batch = SocketPoolExecutor(addresses[0]).compress([], CodecSpec(scales=2))
+        batch = compress_frames([], spec=CodecSpec(scales=2), workers=addresses[0])
         assert batch.streams == []
 
     def test_legacy_keywords_rejected(self, addresses):
         with pytest.raises(TypeError):
-            SocketPoolExecutor(addresses[0]).compress(
-                [shepp_logan(32)], codec="s-transform"
-            )
+            compress_frames([shepp_logan(32)], codec="s-transform", workers=addresses[0])
 
     def test_worker_nodes_registered(self, addresses, cluster):
         with WorkerPool(addresses) as pool:

@@ -17,7 +17,6 @@ from repro.archive.backend import RetryPolicy
 from repro.coding import compress_frames
 from repro.coding.netexec import (
     RemoteWorkerError,
-    SocketPoolExecutor,
     SocketWorker,
     WorkerPool,
     WorkerUnavailableError,
@@ -72,7 +71,7 @@ class TestMidSubmitDeath:
         survivor = SocketWorker(node="survivor")
         with victim, survivor:
             pool = WorkerPool([victim.address, survivor.address], retry=FAST_RETRY)
-            batch = SocketPoolExecutor(pool).compress(frames, SPEC)
+            batch = compress_frames(frames, spec=SPEC, workers=pool)
             # Byte identity survives the crash: the dead worker's shard was
             # re-run on the survivor, and the merge restored frame order.
             for a, b in zip(serial.streams, batch.streams):
@@ -104,7 +103,7 @@ class TestMidSubmitDeath:
                 import signal
 
                 os.kill(victim_pid, signal.SIGKILL)
-                batch = SocketPoolExecutor(pool).compress(frames, SPEC)
+                batch = compress_frames(frames, spec=SPEC, workers=pool)
             for a, b in zip(serial.streams, batch.streams):
                 assert a.chunks == b.chunks
             assert pool.worker_failures == 1
@@ -115,7 +114,7 @@ class TestMidSubmitDeath:
         with victim:
             pool = WorkerPool([victim.address], retry=FAST_RETRY)
             with pytest.raises(WorkerUnavailableError, match="no live workers"):
-                SocketPoolExecutor(pool).compress(batch_frames(4), SPEC)
+                compress_frames(batch_frames(4), spec=SPEC, workers=pool)
             assert pool.worker_failures == 1
             assert pool.reassignments == 0  # nowhere to move the shard
 
@@ -126,7 +125,7 @@ class TestConnectLadder:
         serial = compress_frames(frames, spec=SPEC)
         with SocketWorker(node="only") as worker:
             pool = WorkerPool([free_address(), worker.address], retry=FAST_RETRY)
-            batch = SocketPoolExecutor(pool).compress(frames, SPEC)
+            batch = compress_frames(frames, spec=SPEC, workers=pool)
             for a, b in zip(serial.streams, batch.streams):
                 assert a.chunks == b.chunks
             # Failing at connect time is a worker failure but not a
@@ -187,4 +186,4 @@ class TestDeterministicFailures:
         bad = [np.full((32, 32), 1 << 14, dtype=np.int64)]  # outside 12-bit range
         with SocketWorker(node="x") as worker:
             with pytest.raises(RemoteWorkerError, match="range"):
-                SocketPoolExecutor(worker.address).compress(bad * 4, SPEC)
+                compress_frames(bad * 4, spec=SPEC, workers=worker.address)
