@@ -18,10 +18,10 @@ can be located, checksummed and decoded without reading anything else:
     manifest and a deterministic by-name shard router.  Packs run one
     end-to-end worker per shard; random access opens exactly one shard;
     damage to one shard is isolated from the rest.
-``StreamingIngestor`` / ``ingest_frames`` / ``ingest_async`` / ``iter_compress``
+``ingest_async`` / ``ingest_frames`` / ``iter_compress``
     Streaming ingest (:mod:`repro.archive.ingest`): frames flow from a
-    feed through a bounded queue with backpressure straight into (sharded,
-    replicated) writers, never materialising the full batch.
+    feed through one bounded asyncio loop with backpressure straight into
+    (sharded, replicated) writers, never materialising the full batch.
 ``ReplicatedShardSet`` / ``repair_set``
     Self-healing replication (:mod:`repro.archive.replication`): every
     shard kept in R+1 byte-identical copies (manifest v2 replica map),
@@ -80,7 +80,6 @@ from .format import (
 )
 from .ingest import (
     IngestReport,
-    StreamingIngestor,
     ingest_async,
     ingest_frames,
     iter_compress,
@@ -164,7 +163,6 @@ __all__ = [
     "repair_set",
     "shard_replica_names",
     "IngestReport",
-    "StreamingIngestor",
     "ingest_frames",
     "ingest_async",
     "iter_compress",

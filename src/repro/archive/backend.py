@@ -518,8 +518,7 @@ class FaultInjectionBackend(StorageBackend):
 
     This backend deliberately offers **no** zero-copy path (``read_range``
     stays the base class's ``None``): readers fall back to counted
-    ``read()`` calls, so every fault in the plan still fires regardless of
-    the reader's ``zero_copy`` setting.
+    ``read()`` calls, so every fault in the plan fires.
     """
 
     def __init__(self, inner: StorageBackend, faults: Sequence[Fault] = ()) -> None:

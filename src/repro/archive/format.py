@@ -444,6 +444,12 @@ class ShardManifest:
         """Replica count per shard (0 for an unreplicated set)."""
         return max((len(names) for names in self.replica_names), default=0)
 
+    def copies(self, shard: int) -> Tuple[str, ...]:
+        """Every copy's file name of one shard: the primary, then its
+        replicas (just the primary for an unreplicated set)."""
+        replicas = self.replica_names[shard] if self.replica_names else ()
+        return (self.shard_names[shard], *replicas)
+
     @property
     def placement(self) -> "dict[str, str]":
         """Shard file name → preferred node id (placed shards only)."""
@@ -525,8 +531,8 @@ def pack_manifest(manifest: ShardManifest) -> bytes:
     if manifest.version >= 2:
         # Replica map: one u16-counted name list per primary shard (all
         # zeros for an unreplicated set).
-        replica_map = manifest.replica_names or ((),) * len(manifest.shard_names)
-        for replicas in replica_map:
+        for shard in range(len(manifest.shard_names)):
+            replicas = manifest.copies(shard)[1:]
             parts.append(struct.pack("<H", len(replicas)))
             for name in replicas:
                 parts.append(_pack_str(name, "replica file name"))

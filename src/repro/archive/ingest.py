@@ -4,28 +4,27 @@
 frames — fine for re-packing, wrong for a modality feed (a scanner, a
 network socket, a decompressing tape robot) that produces frames over time
 and must not buffer an unbounded number of raw images.  This module wraps
-the stage pipeline's per-frame unit
-(:func:`repro.coding.pipeline.encode_frame`) in three streaming fronts:
+the per-frame encode path (:func:`repro.coding.pipeline.encode_frame`) in
+two streaming fronts:
 
 :func:`iter_compress`
     A plain generator — pull-based, so at most **one** raw frame is alive
     at a time.  Compose it with any iterator machinery.
-:class:`StreamingIngestor` / :func:`ingest_frames`
-    A producer thread reads the feed into a bounded queue while the caller's
-    thread compresses and routes streams into the writer
-    (:meth:`~repro.archive.writer.ArchiveWriter.add_stream`, or the sharded
-    writer's routed equivalent).  The queue gives the feed ``queue_depth``
-    frames of read-ahead — enough to hide bursty I/O — and **backpressure**:
-    a semaphore is acquired *before* each frame is pulled from the feed and
-    released only after its compressed stream is archived, so no more than
-    ``queue_depth`` undecoded frames exist at any instant, no matter how
-    fast the feed or how slow the codec.  The high-water mark is reported
-    (``max_in_flight``) so tests assert the bound instead of trusting it.
-:func:`ingest_async`
-    The same bounded-queue contract on an asyncio event loop: the feed may
-    be an async iterator (frames arriving over the network), compression is
-    pushed off the loop with ``asyncio.to_thread``, and ``await`` points
-    propagate the same backpressure.
+:func:`ingest_async` / :func:`ingest_frames`
+    The one bounded loop, on an asyncio event loop (:func:`ingest_frames`
+    is ``asyncio.run`` of it for synchronous callers).  A producer task
+    reads the feed — an async iterator, or a synchronous iterable pulled in
+    a worker thread — into a queue while the consumer compresses each frame
+    off the loop (``asyncio.to_thread``) and routes its stream into the
+    writer (:meth:`~repro.archive.writer.ArchiveWriter.add_stream`, or the
+    sharded writer's routed equivalent).  The queue gives the feed
+    ``queue_depth`` frames of read-ahead — enough to hide bursty I/O — and
+    **backpressure**: a permit is taken *before* each frame is pulled from
+    the feed and returned only after its compressed stream is archived, so
+    no more than ``queue_depth`` undecoded frames exist at any instant, no
+    matter how fast the feed or how slow the codec.  The high-water mark is
+    reported (``max_in_flight``) so tests assert the bound instead of
+    trusting it.
 
 Every front end accepts feed items as bare frames (auto-named by the
 writer) or ``(name, frame)`` pairs (named — and, for a sharded writer,
@@ -41,20 +40,13 @@ bounded-memory guarantee, since the fan-out happens after compression.
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
+import functools
 from dataclasses import dataclass, field
 from typing import AsyncIterable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ..coding.pipeline import (
-    CodecResources,
-    PipelineStats,
-    StagePipeline,
-    encode_frame,
-    encode_pipeline,
-)
+from ..coding.pipeline import CodecResources, PipelineStats, encode_frame
 from ..coding.spec import CodecSpec
 from .serialize import CompressedStream
 
@@ -62,7 +54,6 @@ __all__ = [
     "FeedItem",
     "IngestReport",
     "iter_compress",
-    "StreamingIngestor",
     "ingest_frames",
     "ingest_async",
 ]
@@ -106,121 +97,18 @@ def iter_compress(
     requested from the feed — constant memory with zero machinery.
     """
     resources = CodecResources(spec)
-    pipeline = encode_pipeline()
     if stats is None:
         stats = PipelineStats()
     for item in feed:
         name, frame = _split_item(item)
-        yield name, encode_frame(frame, spec, resources, stats, pipeline)
-
-
-class _InFlightGauge:
-    """Tracks how many frames are currently pulled-but-not-archived."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.current = 0
-        self.peak = 0
-
-    def enter(self) -> None:
-        with self._lock:
-            self.current += 1
-            self.peak = max(self.peak, self.current)
-
-    def leave(self) -> None:
-        with self._lock:
-            self.current -= 1
-
-
-class StreamingIngestor:
-    """Bounded-queue streaming ingest into an archive (or sharded) writer.
-
-    Parameters
-    ----------
-    writer:
-        Anything with ``add_stream(stream, name)`` and a ``spec`` —
-        :class:`~repro.archive.writer.ArchiveWriter` or
-        :class:`~repro.archive.sharding.ShardedArchiveWriter` (where the
-        name routes the stream to its shard).
-    queue_depth:
-        Hard bound on undecoded frames held at once (read-ahead depth).
-    """
-
-    def __init__(self, writer, queue_depth: int = 4) -> None:
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        self.writer = writer
-        self.queue_depth = int(queue_depth)
-
-    def run(self, feed: Iterable[FeedItem]) -> IngestReport:
-        """Drain ``feed`` into the writer; returns the run's report.
-
-        The producer thread owns the feed iterator; this thread compresses
-        and archives.  A feed or codec error stops both sides and re-raises
-        here — frames fully archived before the error stay archived (the
-        writer finalises them on its own ``close``).
-        """
-        spec: CodecSpec = self.writer.spec
-        resources = CodecResources(spec)
-        pipeline: StagePipeline = encode_pipeline()
-        stats = PipelineStats()
-        gauge = _InFlightGauge()
-        permits = threading.Semaphore(self.queue_depth)
-        handoff: "queue.Queue" = queue.Queue()
-        sentinel = object()
-        stop = threading.Event()
-        feed_error: list = []
-
-        def produce() -> None:
-            iterator = iter(feed)
-            while not stop.is_set():
-                # Acquire a permit BEFORE pulling the next frame: the feed
-                # is never asked for a frame there is no room to hold.
-                permits.acquire()
-                if stop.is_set():
-                    break
-                try:
-                    item = next(iterator)
-                except StopIteration:
-                    break
-                except BaseException as exc:  # feed failure → surface in run()
-                    feed_error.append(exc)
-                    break
-                gauge.enter()
-                handoff.put(item)
-            handoff.put(sentinel)
-
-        producer = threading.Thread(target=produce, name="ingest-feed", daemon=True)
-        producer.start()
-        frames = 0
-        try:
-            while True:
-                item = handoff.get()
-                if item is sentinel:
-                    break
-                name, frame = _split_item(item)
-                stream = encode_frame(frame, spec, resources, stats, pipeline)
-                self.writer.add_stream(stream, name)
-                frames += 1
-                gauge.leave()
-                permits.release()
-        finally:
-            stop.set()
-            permits.release()  # unblock a producer waiting on a permit
-            producer.join()
-        if feed_error:
-            raise feed_error[0]
-        return IngestReport(
-            frames=frames,
-            queue_depth=self.queue_depth,
-            max_in_flight=gauge.peak,
-            stats=stats,
-        )
+        yield name, encode_frame(frame, spec, resources, stats)
 
 
 def ingest_frames(writer, feed: Iterable[FeedItem], queue_depth: int = 4) -> IngestReport:
-    """Convenience wrapper: ``StreamingIngestor(writer, queue_depth).run(feed)``."""
-    return StreamingIngestor(writer, queue_depth=queue_depth).run(feed)
+    """Synchronous front end: ``asyncio.run(ingest_async(writer, feed,
+    queue_depth))`` — the same bounded loop, for callers without an event
+    loop of their own."""
+    return asyncio.run(ingest_async(writer, feed, queue_depth=queue_depth))
 
 
 async def ingest_async(
@@ -228,64 +116,62 @@ async def ingest_async(
     feed: Union[Iterable[FeedItem], AsyncIterable[FeedItem]],
     queue_depth: int = 4,
 ) -> IngestReport:
-    """Asyncio front end with the same bounded-queue backpressure contract.
+    """Drain ``feed`` into ``writer`` holding at most ``queue_depth``
+    undecoded frames; returns the run's report.
 
-    ``feed`` may be a synchronous iterable or an async iterator (e.g. frames
-    arriving over the network); compression runs in worker threads via
-    ``asyncio.to_thread`` so the event loop stays responsive.  At most
-    ``queue_depth`` undecoded frames are held at once, exactly as in
-    :class:`StreamingIngestor`.
+    ``writer`` is anything with ``add_stream(stream, name)`` and a ``spec``
+    — :class:`~repro.archive.writer.ArchiveWriter` or
+    :class:`~repro.archive.sharding.ShardedArchiveWriter` (where the name
+    routes the stream to its shard).  ``feed`` may be a synchronous
+    iterable (each pull runs in a worker thread, so a blocking feed — disk,
+    socket — stays off the event loop) or an async iterator (e.g. frames
+    arriving over the network).  A producer task takes a permit *before*
+    pulling each item and the consumer returns it only once that item's
+    stream is archived; compression runs via ``asyncio.to_thread``.
+
+    A feed or codec error stops both sides and re-raises here — frames
+    fully archived before the error stay archived (the writer finalises
+    them on its own ``close``).
     """
     if queue_depth < 1:
         raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
     spec: CodecSpec = writer.spec
     resources = CodecResources(spec)
-    pipeline = encode_pipeline()
     stats = PipelineStats()
-    gauge = _InFlightGauge()
     permits = asyncio.Semaphore(queue_depth)
     handoff: "asyncio.Queue" = asyncio.Queue()
-    sentinel = object()
-
-    _exhausted = object()
-
-    async def _aiter():
-        if hasattr(feed, "__aiter__"):
-            async for item in feed:
-                yield item
-        else:
-            # A synchronous feed may block per pull (disk, socket); keep
-            # that off the event loop too, not just the compression.
-            iterator = iter(feed)
-            while True:
-                item = await asyncio.to_thread(next, iterator, _exhausted)
-                if item is _exhausted:
-                    return
-                yield item
+    done = object()
+    if hasattr(feed, "__aiter__"):
+        pull = functools.partial(anext, aiter(feed), done)
+    else:
+        pull = functools.partial(asyncio.to_thread, next, iter(feed), done)
+    in_flight = peak = 0
 
     async def produce() -> None:
+        nonlocal in_flight, peak
         try:
-            async for item in _aiter():
+            while True:
+                # The permit comes first: the feed is never asked for a
+                # frame there is no room to hold.
                 await permits.acquire()
-                gauge.enter()
-                await handoff.put(item)
+                item = await pull()
+                if item is done:
+                    return
+                in_flight += 1
+                peak = max(peak, in_flight)
+                handoff.put_nowait(item)
         finally:
-            await handoff.put(sentinel)
+            handoff.put_nowait(done)
 
     producer = asyncio.ensure_future(produce())
     frames = 0
     try:
-        while True:
-            item = await handoff.get()
-            if item is sentinel:
-                break
+        while (item := await handoff.get()) is not done:
             name, frame = _split_item(item)
-            stream = await asyncio.to_thread(
-                encode_frame, frame, spec, resources, stats, pipeline
-            )
+            stream = await asyncio.to_thread(encode_frame, frame, spec, resources, stats)
             writer.add_stream(stream, name)
             frames += 1
-            gauge.leave()
+            in_flight -= 1
             permits.release()
     finally:
         if not producer.done():
@@ -297,6 +183,6 @@ async def ingest_async(
     return IngestReport(
         frames=frames,
         queue_depth=queue_depth,
-        max_in_flight=gauge.peak,
+        max_in_flight=peak,
         stats=stats,
     )

@@ -17,9 +17,11 @@ intermediate ``bytes`` object, no seek/read pair, no copy of the chunk
 bytes.  ``bytes_read`` advances identically on both paths (it counts
 payload bytes *touched*, not copies made); ``zero_copy_reads`` counts how
 many payload reads actually took the view path, so tests can prove which
-path served them.  Backends without a zero-copy path — and readers opened
-with ``zero_copy=False`` — fall back to the historical seek + read,
-byte for byte.
+path served them.  Backends without a zero-copy path fall back to a seek +
+read, byte for byte.  Every payload accessor — :meth:`~ArchiveReader.read_payload`,
+:meth:`~ArchiveReader.read_payload_view` and
+:meth:`~ArchiveReader.read_payload_slice` — goes through one private window
+read with one retry, one truncation check and one counter update.
 
 Whole-archive decoding goes back through the batched pipeline:
 :meth:`~ArchiveReader.to_batch` reassembles a
@@ -102,11 +104,10 @@ class ArchiveReader:
         faults are counted in ``reader.retries``.  ``None`` (the default)
         disables retrying.  Persistent damage (checksum mismatches) is
         never retried.
-    zero_copy:
-        Serve payload reads as memoryviews of the backend's storage
-        (mmap for files) where the backend supports it (default).  Pass
-        ``False`` to force the historical seek + read path — results are
-        byte-identical either way.
+
+    Payload views come from the backend's storage (mmap for files) where
+    the backend offers ``read_range``; other backends are read with a
+    seek + read — results are byte-identical either way.
     """
 
     def __init__(
@@ -116,7 +117,6 @@ class ArchiveReader:
         verify_checksums: bool = True,
         retry: Optional[RetryPolicy] = None,
         on_retry: Optional[Callable[[BaseException], None]] = None,
-        zero_copy: bool = True,
     ) -> None:
         #: Storage backend holding the container's bytes (paths resolve to
         #: :class:`~repro.archive.backend.FileBackend`).
@@ -124,8 +124,6 @@ class ArchiveReader:
         self.path = Path(self.backend.describe())
         self.engine = engine if engine is not None else default_engine()
         self.verify_checksums = verify_checksums
-        #: Whether payload reads may take the backend's zero-copy path.
-        self.zero_copy = bool(zero_copy)
         #: Retry policy for backend reads (single attempt when ``None``).
         self.retry = retry if retry is not None else RetryPolicy.none()
         #: Total payload bytes read so far (random access reads only the
@@ -203,29 +201,54 @@ class ArchiveReader:
         raise KeyError(f"archive has no frame named {key!r}")
 
     # -- retrieval ----------------------------------------------------------------------
-    def read_payload(self, key: FrameKey) -> bytes:
-        """Read one frame's payload bytes (and nothing else) off disk."""
-        entry = self.find(key)
+    def _read_window(
+        self, entry: FrameInfo, start: int, length: int, copy: bool = False
+    ) -> Union[bytes, memoryview]:
+        """``length`` bytes at ``start`` within one frame's payload — the
+        one read every payload accessor goes through.
 
-        def _read() -> bytes:
+        Served as a view of the backend's storage when it offers
+        :meth:`~repro.archive.backend.StorageBackend.read_range` (and
+        ``copy`` is off), else as a seek + read on the shared handle; either
+        way under the retry policy, truncation-checked, and counted once in
+        ``bytes_read`` (and, for views, ``zero_copy_reads``).
+        """
+
+        def _read() -> Union[bytes, memoryview]:
             with self._io_lock:
-                self._fh.seek(entry.offset)
-                return self._fh.read(entry.length)
+                if not copy:
+                    view = self.backend.read_range(entry.offset + start, length)
+                    if view is not None:
+                        return view
+                self._fh.seek(entry.offset + start)
+                return self._fh.read(length)
 
-        payload = self.retry.run(_read, on_retry=self._note_retry)
-        if len(payload) != entry.length:
+        data = self.retry.run(_read, on_retry=self._note_retry)
+        if len(data) != length:
+            what = "payload" if length == entry.length else "payload slice"
             raise TruncatedArchiveError(
-                f"frame {entry.name!r}: payload ends after "
-                f"{len(payload)} of {entry.length} bytes"
+                f"frame {entry.name!r}: {what} ends after "
+                f"{len(data)} of {length} bytes"
             )
         with self._io_lock:
-            self.bytes_read += len(payload)
+            self.bytes_read += length
+            self.zero_copy_reads += isinstance(data, memoryview)
+        return data
+
+    def _checked(self, entry: FrameInfo, payload: Union[bytes, memoryview]):
+        """``payload`` after its whole-payload CRC-32 check (when enabled)."""
         if self.verify_checksums and crc32(payload) != entry.crc32:
             raise ArchiveIntegrityError(
                 f"frame {entry.name!r}: payload checksum mismatch "
                 "(archive is corrupted)"
             )
         return payload
+
+    def read_payload(self, key: FrameKey) -> bytes:
+        """Read one frame's payload bytes (and nothing else) off disk, as a
+        fresh ``bytes`` copy."""
+        entry = self.find(key)
+        return self._checked(entry, self._read_window(entry, 0, entry.length, copy=True))
 
     def read_payload_view(self, key: FrameKey) -> memoryview:
         """One frame's payload as a zero-copy view of the backend's storage.
@@ -234,36 +257,13 @@ class ArchiveReader:
         containers from their buffer — no intermediate ``bytes`` object is
         built.  Truncation and CRC checks are the same as
         :meth:`read_payload`'s, and ``bytes_read`` advances identically;
-        ``zero_copy_reads`` counts the reads this path actually served.
-        When the backend has no zero-copy support (or it degrades, e.g.
-        mmap refused), the result is a view over a normal
-        :meth:`read_payload` — correct, just not zero-copy.
+        ``zero_copy_reads`` counts the reads a view actually served.  When
+        the backend has no zero-copy support (or it degrades, e.g. mmap
+        refused), the result is a view over a seek + read copy — correct,
+        just not zero-copy.
         """
         entry = self.find(key)
-        view: Optional[memoryview] = None
-        if self.zero_copy:
-
-            def _read_range() -> Optional[memoryview]:
-                with self._io_lock:
-                    return self.backend.read_range(entry.offset, entry.length)
-
-            view = self.retry.run(_read_range, on_retry=self._note_retry)
-        if view is None:
-            return memoryview(self.read_payload(entry))
-        if len(view) != entry.length:
-            raise TruncatedArchiveError(
-                f"frame {entry.name!r}: payload ends after "
-                f"{len(view)} of {entry.length} bytes"
-            )
-        with self._io_lock:
-            self.bytes_read += len(view)
-            self.zero_copy_reads += 1
-        if self.verify_checksums and crc32(view) != entry.crc32:
-            raise ArchiveIntegrityError(
-                f"frame {entry.name!r}: payload checksum mismatch "
-                "(archive is corrupted)"
-            )
-        return view
+        return self._checked(entry, memoryview(self._read_window(entry, 0, entry.length)))
 
     def read_payload_slice(self, key: FrameKey, start: int, length: int) -> memoryview:
         """Read ``length`` bytes at ``start`` *within* one frame's payload.
@@ -284,39 +284,7 @@ class ArchiveReader:
                 f"frame {entry.name!r}: slice [{start}, {start + length}) outside "
                 f"its {entry.length}-byte payload"
             )
-        view: Optional[memoryview] = None
-        if self.zero_copy:
-
-            def _read_range() -> Optional[memoryview]:
-                with self._io_lock:
-                    return self.backend.read_range(entry.offset + start, length)
-
-            view = self.retry.run(_read_range, on_retry=self._note_retry)
-        if view is None:
-
-            def _read() -> bytes:
-                with self._io_lock:
-                    self._fh.seek(entry.offset + start)
-                    return self._fh.read(length)
-
-            data = self.retry.run(_read, on_retry=self._note_retry)
-            if len(data) != length:
-                raise TruncatedArchiveError(
-                    f"frame {entry.name!r}: payload slice ends after "
-                    f"{len(data)} of {length} bytes"
-                )
-            with self._io_lock:
-                self.bytes_read += len(data)
-            return memoryview(data)
-        if len(view) != length:
-            raise TruncatedArchiveError(
-                f"frame {entry.name!r}: payload slice ends after "
-                f"{len(view)} of {length} bytes"
-            )
-        with self._io_lock:
-            self.bytes_read += len(view)
-            self.zero_copy_reads += 1
-        return view
+        return memoryview(self._read_window(entry, start, length))
 
     def read_stream(self, key: FrameKey) -> CompressedStream:
         """Deserialise one frame's compressed stream without decoding it.

@@ -181,11 +181,7 @@ class ReplicatedShardSet(ShardedArchiveWriter):
         return self.manifest.replicas
 
     def _copy_paths(self, shard: int) -> List[Path]:
-        replica_map = self.manifest.replica_names or ((),) * self.shard_count
-        return [
-            self.shard_paths[shard],
-            *(self.path.parent / name for name in replica_map[shard]),
-        ]
+        return [self.path.parent / name for name in self.manifest.copies(shard)]
 
     def _writer(self, shard: int) -> _FanOutWriter:
         """Every append (``add_stream`` and ``append_batch``, whichever
@@ -283,9 +279,8 @@ def repair_set(
         manifest = reader.manifest
     result = RepairReport(verify=report)
     failures: Dict[str, str] = report["failures"]
-    replica_map = manifest.replica_names or ((),) * len(manifest.shard_names)
     for shard, primary in enumerate(manifest.shard_names):
-        copies = [primary, *replica_map[shard]]
+        copies = manifest.copies(shard)
         damaged = [name for name in copies if name in failures]
         if not damaged:
             result.shard_status[primary] = "ok"

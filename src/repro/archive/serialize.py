@@ -118,7 +118,7 @@ CompressedStream = Union[CompressedImage, CompressedSImage]
 #: Payload bytes as stored (``bytes``) or as a zero-copy ``memoryview`` of
 #: the backend's mapping.  Deserialising a view keeps the chunk payloads as
 #: sub-views — no intermediate copies — which is what the readers'
-#: ``zero_copy`` path relies on; the decoders consume either form.
+#: zero-copy path relies on; the decoders consume either form.
 Payload = Union[bytes, memoryview]
 
 #: First four bytes of a subband-major payload.  A version-1 payload starts

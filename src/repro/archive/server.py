@@ -268,6 +268,24 @@ def frame_to_wire(frame: np.ndarray) -> Tuple[str, Tuple[int, ...], bytes]:
     return little.dtype.str, tuple(array.shape), little.tobytes()
 
 
+def _pixels_response(
+    entry: FrameInfo, frame: np.ndarray, extra: Dict[str, str]
+) -> Tuple[int, Dict[str, str], bytes]:
+    """A 200 carrying one decoded frame (full, preview or ROI): the pixel
+    buffer plus the ``X-Frame-*`` headers a client rebuilds it from, then
+    ``extra``."""
+    dtype, shape, body = frame_to_wire(frame)
+    headers = {
+        "Content-Type": "application/octet-stream",
+        "X-Frame-Name": entry.name,
+        "X-Frame-Shape": "x".join(str(side) for side in shape),
+        "X-Frame-Dtype": dtype,
+        "X-Frame-Bit-Depth": str(entry.bit_depth),
+        **extra,
+    }
+    return 200, headers, body
+
+
 def parse_range(value: str, size: int) -> Tuple[int, int]:
     """Parse a ``Range:`` header against a ``size``-byte payload.
 
@@ -460,7 +478,7 @@ class ArchiveService:
         submitters instead of accumulating work.
     readonly:
         Reject ``POST /ingest`` with 403.
-    retry / backend_factory / engine / zero_copy:
+    retry / backend_factory / engine:
         Threaded through to the readers (the retry → failover ladder and
         the fault-injection seam work unchanged behind the service).
     """
@@ -475,7 +493,6 @@ class ArchiveService:
         engine: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         backend_factory: Optional[Callable[[Path], StorageBackend]] = None,
-        zero_copy: bool = True,
         retry_after: float = 1.0,
     ) -> None:
         if workers_per_shard < 1:
@@ -486,7 +503,6 @@ class ArchiveService:
         self.engine = engine
         self.retry = retry
         self.backend_factory = backend_factory
-        self.zero_copy = zero_copy
         self.readonly = bool(readonly)
         self.workers_per_shard = int(workers_per_shard)
         self.queue_depth = int(queue_depth)
@@ -510,18 +526,12 @@ class ArchiveService:
     # -- target plumbing ----------------------------------------------------------------
     def _open_reader(self):
         if isinstance(self.target, StorageBackend):
-            return ArchiveReader(
-                self.target,
-                engine=self.engine,
-                retry=self.retry,
-                zero_copy=self.zero_copy,
-            )
+            return ArchiveReader(self.target, engine=self.engine, retry=self.retry)
         return open_archive(
             self.target,
             engine=self.engine,
             retry=self.retry,
             backend_factory=self.backend_factory,
-            zero_copy=self.zero_copy,
         )
 
     def _open_writer(self):
@@ -698,10 +708,15 @@ class ArchiveService:
         return record
 
     # -- read operations ----------------------------------------------------------------
-    async def get_frame(self, name: str) -> Tuple[FrameInfo, np.ndarray, bool]:
-        """Decode one frame, hot-cache first; returns ``(entry, frame, hit)``."""
-        key = (self._generation, name, "full")
-        cached = self.cache.get(key, kind="full")
+    async def _cached_decode(
+        self, name: str, variant: Tuple, decode: Callable[[object, FrameInfo], np.ndarray]
+    ) -> Tuple[FrameInfo, np.ndarray, bool]:
+        """Hot-cache lookup under ``(generation, name, *variant)`` (cache
+        kind ``variant[0]``); on a miss, ``decode(reader, entry)`` runs on
+        the frame's shard queue and its result is cached.  Returns
+        ``(entry, frame, hit)``."""
+        key = (self._generation, name, *variant)
+        cached = self.cache.get(key, kind=variant[0])
         if cached is not None:
             entry, frame = cached
             return entry, frame, True
@@ -709,11 +724,17 @@ class ArchiveService:
         def work() -> Tuple[FrameInfo, np.ndarray]:
             reader = self._reader
             entry = reader.find(name)
-            return entry, reader.decode(entry)
+            return entry, decode(reader, entry)
 
         entry, frame = await self._submit(self._route(name), work)
         self.cache.put(key, entry, frame)
         return entry, frame, False
+
+    async def get_frame(self, name: str) -> Tuple[FrameInfo, np.ndarray, bool]:
+        """Decode one frame, hot-cache first; returns ``(entry, frame, hit)``."""
+        return await self._cached_decode(
+            name, ("full",), lambda reader, entry: reader.decode(entry)
+        )
 
     async def get_preview(
         self, name: str, scale: int
@@ -726,20 +747,11 @@ class ArchiveService:
         subband-major frame reads only the strict byte prefix of its
         payload (:meth:`ArchiveReader.read_preview`).
         """
-        key = (self._generation, name, "preview", int(scale))
-        cached = self.cache.get(key, kind="preview")
-        if cached is not None:
-            entry, frame = cached
-            return entry, frame, True
-
-        def work() -> Tuple[FrameInfo, np.ndarray]:
-            reader = self._reader
-            entry = reader.find(name)
-            return entry, reader.read_preview(entry, scale)
-
-        entry, frame = await self._submit(self._route(name), work)
-        self.cache.put(key, entry, frame)
-        return entry, frame, False
+        return await self._cached_decode(
+            name,
+            ("preview", int(scale)),
+            lambda reader, entry: reader.read_preview(entry, scale),
+        )
 
     async def get_roi(self, name: str, y0: int, y1: int) -> Tuple[FrameInfo, np.ndarray]:
         """Decode just the row band ``[y0, y1)`` of one frame (uncached —
@@ -811,14 +823,13 @@ class ArchiveService:
             frames = [self._entry_record(entry) for entry in reader.frames]
             if self.sharded:
                 manifest = reader.manifest
-                replica_map = manifest.replica_names or ((),) * reader.shard_count
                 shards: Dict[str, object] = {
                     "count": reader.shard_count,
                     "router": manifest.router,
                     "boundaries": list(manifest.boundaries),
                     "names": list(manifest.shard_names),
                     "replicas": {
-                        primary: list(replica_map[shard])
+                        primary: list(manifest.copies(shard)[1:])
                         for shard, primary in enumerate(manifest.shard_names)
                     },
                     "placement": dict(manifest.placement),
@@ -1181,18 +1192,8 @@ class ArchiveHTTPServer:
                 data,
             )
         entry, frame, hit = await self.service.get_frame(name)
-        dtype, shape, body = frame_to_wire(frame)
-        return (
-            200,
-            {
-                "Content-Type": "application/octet-stream",
-                "X-Frame-Name": entry.name,
-                "X-Frame-Shape": "x".join(str(side) for side in shape),
-                "X-Frame-Dtype": dtype,
-                "X-Frame-Bit-Depth": str(entry.bit_depth),
-                "X-Archive-Cache": "hit" if hit else "miss",
-            },
-            body,
+        return _pixels_response(
+            entry, frame, {"X-Archive-Cache": "hit" if hit else "miss"}
         )
 
     async def _handle_preview(
@@ -1220,19 +1221,7 @@ class ArchiveHTTPServer:
                     400, f"malformed roi {roi_values[-1]!r} (expected y0-y1)"
                 ) from None
             entry, frame = await self.service.get_roi(name, y0, y1)
-            dtype, shape, body = frame_to_wire(frame)
-            return (
-                200,
-                {
-                    "Content-Type": "application/octet-stream",
-                    "X-Frame-Name": entry.name,
-                    "X-Frame-Shape": "x".join(str(side) for side in shape),
-                    "X-Frame-Dtype": dtype,
-                    "X-Frame-Bit-Depth": str(entry.bit_depth),
-                    "X-Frame-Roi": f"{y0}-{y1}",
-                },
-                body,
-            )
+            return _pixels_response(entry, frame, {"X-Frame-Roi": f"{y0}-{y1}"})
         try:
             scale = int(scale_values[-1]) if scale_values else 1
         except ValueError:
@@ -1240,20 +1229,14 @@ class ArchiveHTTPServer:
                 400, f"malformed scale {scale_values[-1]!r} (expected an integer)"
             ) from None
         entry, frame, hit = await self.service.get_preview(name, scale)
-        dtype, shape, body = frame_to_wire(frame)
-        return (
-            200,
+        return _pixels_response(
+            entry,
+            frame,
             {
-                "Content-Type": "application/octet-stream",
-                "X-Frame-Name": entry.name,
-                "X-Frame-Shape": "x".join(str(side) for side in shape),
-                "X-Frame-Dtype": dtype,
-                "X-Frame-Bit-Depth": str(entry.bit_depth),
                 "X-Frame-Scale": str(scale),
                 "X-Frame-Layout": entry.layout,
                 "X-Archive-Cache": "hit" if hit else "miss",
             },
-            body,
         )
 
     async def _handle_ingest(

@@ -213,7 +213,6 @@ def open_archive(
     path: PathLike,
     engine: Optional[str] = None,
     verify_checksums: bool = True,
-    zero_copy: bool = True,
     retry: Optional[RetryPolicy] = None,
     backend_factory: Optional[Callable[[Path], StorageBackend]] = None,
 ) -> Union[ArchiveReader, "ShardedArchiveReader"]:
@@ -240,7 +239,6 @@ def open_archive(
             path,
             engine=engine,
             verify_checksums=verify_checksums,
-            zero_copy=zero_copy,
             retry=retry,
             backend_factory=backend_factory,
         )
@@ -252,7 +250,6 @@ def open_archive(
             target,
             engine=engine,
             verify_checksums=verify_checksums,
-            zero_copy=zero_copy,
             retry=retry,
         )
     except FileNotFoundError as exc:
@@ -413,9 +410,8 @@ class ShardedArchiveWriter:
         router_for_manifest(manifest)  # validate router/boundaries up front
         # Every container is born a valid (empty, finalised) archive, so the
         # set is complete and readable from the instant the manifest lands.
-        replica_map = manifest.replica_names or ((),) * len(manifest.shard_names)
-        for shard, name in enumerate(manifest.shard_names):
-            for copy in (name, *replica_map[shard]):
+        for shard in range(len(manifest.shard_names)):
+            for copy in manifest.copies(shard):
                 ArchiveWriter.create(
                     path.parent / copy,
                     spec=spec,
@@ -642,13 +638,10 @@ class ShardedArchiveReader:
         verify_checksums: bool = True,
         retry: Optional[RetryPolicy] = None,
         backend_factory: Optional[Callable[[Path], StorageBackend]] = None,
-        zero_copy: bool = True,
     ) -> None:
         self.path = Path(path)
         self.engine = engine if engine is not None else default_engine()
         self.verify_checksums = verify_checksums
-        #: Whether per-copy readers may serve payloads zero-copy (mmap).
-        self.zero_copy = bool(zero_copy)
         #: Retry policy handed to every per-copy reader (transient faults).
         self.retry = retry if retry is not None else RetryPolicy.none()
         #: Optional hook mapping a copy's path to the backend to open it
@@ -661,11 +654,10 @@ class ShardedArchiveReader:
         self.shard_paths: List[Path] = [
             self.path.parent / name for name in self.manifest.shard_names
         ]
-        replica_map = self.manifest.replica_names or ((),) * len(self.shard_paths)
         #: Per shard: every copy's path, primary first.
         self.copy_paths: List[List[Path]] = [
-            [primary, *(self.path.parent / name for name in replicas)]
-            for primary, replicas in zip(self.shard_paths, replica_map)
+            [self.path.parent / name for name in self.manifest.copies(shard)]
+            for shard in range(len(self.shard_paths))
         ]
         #: Routed reads that had to switch to another copy after damage.
         self.failovers = 0
@@ -735,7 +727,6 @@ class ShardedArchiveReader:
                 verify_checksums=self.verify_checksums,
                 retry=self.retry,
                 on_retry=self._note_retry,
-                zero_copy=self.zero_copy,
             )
         except FileNotFoundError as exc:
             # The manifest names this copy, so its absence is set damage (a
@@ -982,11 +973,11 @@ class ShardedArchiveReader:
         if self.backend_factory is not None:
             shard_width(workers)  # still reject a bad value
             workers = 1
-        copy_names: List[Tuple[int, str]] = []  # (shard, copy file name)
-        replica_map = self.manifest.replica_names or ((),) * self.shard_count
-        for shard, primary in enumerate(self.manifest.shard_names):
-            for name in (primary, *replica_map[shard]):
-                copy_names.append((shard, name))
+        copy_names: List[Tuple[int, str]] = [  # (shard, copy file name)
+            (shard, name)
+            for shard in range(self.shard_count)
+            for name in self.manifest.copies(shard)
+        ]
         placement = self.manifest.placement
         run = run_shards(
             "verify_copy",

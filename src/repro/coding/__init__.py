@@ -9,6 +9,9 @@ Public API
     Compressive lossless codec based on the reversible integer S-transform.
 ``compress_frames`` / ``decompress_frames``
     Batched end-to-end pipeline over many frames with per-stage timing.
+``encode_frame`` / ``decode_frame``
+    The one frame path each way under it: transform + entropy encode,
+    entropy decode + inverse, each stage timed into ``PipelineStats``.
 ``CompressedImage`` / ``CompressedSImage`` / ``SubbandChunk``
     Compressed-stream containers with size/ratio accounting.
 ``rice_encode`` / ``huffman_encode`` / ``rle_encode`` and friends
@@ -23,12 +26,10 @@ from .executor import ShardRun, default_workers, run_shards
 from .pipeline import (
     CompressedBatch,
     PipelineStats,
-    Stage,
-    StagePipeline,
     compress_frames,
-    decode_pipeline,
+    decode_frame,
     decompress_frames,
-    encode_pipeline,
+    encode_frame,
     max_dyadic_scales,
 )
 from .spec import (
@@ -93,12 +94,10 @@ __all__ = [
     "SubbandChunk",
     "CompressedBatch",
     "PipelineStats",
-    "Stage",
-    "StagePipeline",
     "compress_frames",
-    "decode_pipeline",
+    "decode_frame",
     "decompress_frames",
-    "encode_pipeline",
+    "encode_frame",
     "max_dyadic_scales",
     "ENGINE_NAMES",
     "CodecFamily",

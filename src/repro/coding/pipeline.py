@@ -1,4 +1,4 @@
-"""Batched compression pipeline, built from composable stages.
+"""Batched compression pipeline over one frame path.
 
 The paper's motivating workload is an archive compressing *streams* of
 medical images, not one frame at a time.  :func:`compress_frames` and
@@ -9,16 +9,17 @@ pipeline stage so throughput regressions are attributable to a stage rather
 than to "the codec".
 
 Configuration is a :class:`~repro.coding.spec.CodecSpec` — codec family,
-entropy engine, transform back end, depth, bit depth, filter bank — and the
-pipeline itself is a :class:`StagePipeline` of :class:`Stage` objects:
+entropy engine, transform back end, depth, bit depth, filter bank — and
+every frame takes one path each way:
 
-* encode: :class:`DecorrelateStage` (software or accelerator transform)
-  → :class:`EntropyEncodeStage` (map + entropy code);
-* decode: :class:`EntropyDecodeStage` → :class:`ReconstructStage`.
+* encode: :func:`encode_frame` — ``"transform"`` (software or
+  accelerator) → ``"entropy_encode"`` (map + entropy code);
+* decode: :func:`decode_frame` — ``"entropy_decode"`` → ``"inverse"``.
 
-Each stage's wall clock is folded into :class:`PipelineStats` under the
-stage's name, so the stats model is identical whether a batch ran through
-the convenience functions, a custom stage composition, or the shard seam
+Each function times its two stages into :class:`PipelineStats` under those
+names and counts the frame, so the stats model is identical whether a frame
+ran through streaming ingest, a serial shard (:func:`encode_shard` /
+:func:`decode_shard`, plain loops over the two functions) or the shard seam
 :func:`~repro.coding.executor.run_shards` (``workers=`` on either
 convenience function shards the batch across a process pool or socket
 workers and merges the per-stage stats; the streams are byte-identical to
@@ -66,17 +67,9 @@ __all__ = [
     "ENCODE_STAGES",
     "DECODE_STAGES",
     "max_dyadic_scales",
-    "Stage",
-    "DecorrelateStage",
-    "EntropyEncodeStage",
-    "EntropyDecodeStage",
-    "ReconstructStage",
-    "StagePipeline",
     "CodecResources",
-    "FrameJob",
-    "encode_pipeline",
-    "decode_pipeline",
     "encode_frame",
+    "decode_frame",
     "encode_shard",
     "decode_shard",
     "compress_frames",
@@ -382,39 +375,6 @@ class CodecResources:
         return self._accelerators[key]
 
 
-@dataclass
-class FrameJob:
-    """Everything a stage needs to process one frame."""
-
-    spec: CodecSpec
-    resources: CodecResources
-    codec: object
-    scales: int
-    frame_shape: Tuple[int, int]
-    stats: PipelineStats
-
-
-# ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
-
-class Stage:
-    """One step of the pipeline: a named ``value -> value`` transformation.
-
-    Stages are stateless; per-frame state travels in the :class:`FrameJob`.
-    :meth:`StagePipeline.run` times each stage and folds the wall clock into
-    ``job.stats`` under :attr:`name`.
-    """
-
-    name = "stage"
-
-    def process(self, value, job: FrameJob):
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.name!r})"
-
-
 def _accelerator_frame(frame: np.ndarray, codec: LosslessWaveletCodec) -> np.ndarray:
     """Validate a frame for the accelerator path (square + declared bit depth)."""
     if frame.ndim != 2 or frame.shape[0] != frame.shape[1]:
@@ -425,91 +385,15 @@ def _accelerator_frame(frame: np.ndarray, codec: LosslessWaveletCodec) -> np.nda
     return codec.validate_image(frame)
 
 
-class DecorrelateStage(Stage):
-    """Frame → subband pyramid (software transform or accelerator model)."""
-
-    name = "transform"
-
-    def process(self, frame: np.ndarray, job: FrameJob):
-        if job.spec.transform == "accelerator":
-            frame = _accelerator_frame(frame, job.codec)
-            accelerator = job.resources.accelerator_for(
-                job.codec, frame.shape[0], job.scales
-            )
-            pyramid, report = accelerator.forward(frame)
-            job.stats.accelerator_reports.append(report)
-            return pyramid
-        return job.codec.forward_transform(frame)
-
-
-class EntropyEncodeStage(Stage):
-    """Subband pyramid → entropy-coded compressed stream."""
-
-    name = "entropy_encode"
-
-    def process(self, pyramid, job: FrameJob):
-        return job.codec.encode_pyramid(pyramid, job.frame_shape)
-
-
-class EntropyDecodeStage(Stage):
-    """Compressed stream → subband pyramid."""
-
-    name = "entropy_decode"
-
-    def process(self, stream, job: FrameJob):
-        return job.codec.decode_pyramid(stream)
-
-
-class ReconstructStage(Stage):
-    """Subband pyramid → reconstructed frame (bit for bit)."""
-
-    name = "inverse"
-
-    def process(self, pyramid, job: FrameJob):
-        if job.spec.transform == "accelerator":
-            accelerator = job.resources.accelerator_for(
-                job.codec, job.frame_shape[0], job.scales
-            )
-            frame, report = accelerator.inverse(pyramid)
-            job.stats.accelerator_reports.append(report)
-            return frame
-        return job.codec.inverse_transform(pyramid)
-
-
-class StagePipeline:
-    """An ordered composition of stages with per-stage timing."""
-
-    def __init__(self, stages: Sequence[Stage]) -> None:
-        self.stages: Tuple[Stage, ...] = tuple(stages)
-        names = [stage.name for stage in self.stages]
-        if len(set(names)) != len(names):
-            raise ValueError(f"stage names must be unique, got {names}")
-
-    @property
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(stage.name for stage in self.stages)
-
-    def run(self, value, job: FrameJob):
-        """Push one value through every stage, timing each into ``job.stats``."""
-        for stage in self.stages:
-            began = time.perf_counter()
-            value = stage.process(value, job)
-            job.stats.add_stage(stage.name, time.perf_counter() - began)
-        return value
-
-
-def encode_pipeline() -> StagePipeline:
-    """The standard encode composition: decorrelate → map + entropy code."""
-    return StagePipeline([DecorrelateStage(), EntropyEncodeStage()])
-
-
-def decode_pipeline() -> StagePipeline:
-    """The standard decode composition: entropy decode → reconstruct."""
-    return StagePipeline([EntropyDecodeStage(), ReconstructStage()])
+def _count_frame(stats: PipelineStats, pixels: int, stream) -> None:
+    stats.frames += 1
+    stats.pixels += int(pixels)
+    stats.raw_bytes += stream.original_bytes
+    stats.compressed_bytes += stream.compressed_bytes
 
 
 # ---------------------------------------------------------------------------
-# Batched entry points
+# The frame path: one function each way
 # ---------------------------------------------------------------------------
 
 def encode_frame(
@@ -517,33 +401,59 @@ def encode_frame(
     spec: CodecSpec,
     resources: CodecResources,
     stats: PipelineStats,
-    pipeline: Optional[StagePipeline] = None,
 ) -> Union[CompressedImage, CompressedSImage]:
-    """Compress one frame through the encode pipeline, folding its stage
-    timings and counters into ``stats``.
+    """Compress one frame — transform, then map + entropy code — timing
+    the ``"transform"`` and ``"entropy_encode"`` stages and counting the
+    frame into ``stats``.
 
-    This is the single-frame unit :func:`compress_frames` loops over; the
+    This is the single-frame unit :func:`encode_shard` loops over; the
     streaming ingest front end (:mod:`repro.archive.ingest`) calls it
     directly so frames can flow one at a time without a materialised batch.
     """
-    if pipeline is None:
-        pipeline = encode_pipeline()
     frame = np.asarray(frame)
-    frame_scales = _frame_scales(frame.shape, spec.scales)
-    job = FrameJob(
-        spec=spec,
-        resources=resources,
-        codec=resources.codec_for(frame_scales),
-        scales=frame_scales,
-        frame_shape=(int(frame.shape[0]), int(frame.shape[1])),
-        stats=stats,
-    )
-    stream = pipeline.run(frame, job)
-    stats.frames += 1
-    stats.pixels += int(frame.size)
-    stats.raw_bytes += stream.original_bytes
-    stats.compressed_bytes += stream.compressed_bytes
+    scales = _frame_scales(frame.shape, spec.scales)
+    codec = resources.codec_for(scales)
+    began = time.perf_counter()
+    if spec.transform == "accelerator":
+        frame = _accelerator_frame(frame, codec)
+        accelerator = resources.accelerator_for(codec, frame.shape[0], scales)
+        pyramid, report = accelerator.forward(frame)
+        stats.accelerator_reports.append(report)
+    else:
+        pyramid = codec.forward_transform(frame)
+    transformed = time.perf_counter()
+    stats.add_stage("transform", transformed - began)
+    stream = codec.encode_pyramid(pyramid, (int(frame.shape[0]), int(frame.shape[1])))
+    stats.add_stage("entropy_encode", time.perf_counter() - transformed)
+    _count_frame(stats, frame.size, stream)
     return stream
+
+
+def decode_frame(
+    stream: Union[CompressedImage, CompressedSImage],
+    spec: CodecSpec,
+    resources: CodecResources,
+    stats: PipelineStats,
+) -> np.ndarray:
+    """Reconstruct one frame bit for bit — entropy decode, then inverse
+    transform — timing the ``"entropy_decode"`` and ``"inverse"`` stages
+    and counting the frame into ``stats``."""
+    codec = resources.codec_for(stream.scales)
+    began = time.perf_counter()
+    pyramid = codec.decode_pyramid(stream)
+    decoded = time.perf_counter()
+    stats.add_stage("entropy_decode", decoded - began)
+    if spec.transform == "accelerator":
+        accelerator = resources.accelerator_for(
+            codec, int(stream.image_shape[0]), stream.scales
+        )
+        frame, report = accelerator.inverse(pyramid)
+        stats.accelerator_reports.append(report)
+    else:
+        frame = codec.inverse_transform(pyramid)
+    stats.add_stage("inverse", time.perf_counter() - decoded)
+    _count_frame(stats, frame.size, stream)
+    return frame
 
 
 def encode_shard(
@@ -555,9 +465,8 @@ def encode_shard(
     :func:`~repro.coding.executor.run_shards` runs on every transport.
     """
     resources = CodecResources(spec)
-    pipeline = encode_pipeline()
     stats = PipelineStats()
-    streams = [encode_frame(frame, spec, resources, stats, pipeline) for frame in frames]
+    streams = [encode_frame(frame, spec, resources, stats) for frame in frames]
     return streams, stats
 
 
@@ -567,26 +476,14 @@ def decode_shard(
     """Serially reconstruct one shard of streams in this process (the
     ``decompress`` task's unit of work)."""
     resources = CodecResources(spec)
-    pipeline = decode_pipeline()
     stats = PipelineStats()
-    frames: List[np.ndarray] = []
-    for stream in streams:
-        job = FrameJob(
-            spec=spec,
-            resources=resources,
-            codec=resources.codec_for(stream.scales),
-            scales=stream.scales,
-            frame_shape=(int(stream.image_shape[0]), int(stream.image_shape[1])),
-            stats=stats,
-        )
-        frame = pipeline.run(stream, job)
-        stats.frames += 1
-        stats.pixels += int(frame.size)
-        stats.raw_bytes += stream.original_bytes
-        stats.compressed_bytes += stream.compressed_bytes
-        frames.append(frame)
+    frames = [decode_frame(stream, spec, resources, stats) for stream in streams]
     return frames, stats
 
+
+# ---------------------------------------------------------------------------
+# Batched entry points
+# ---------------------------------------------------------------------------
 
 def _run_batch(kind: str, spec: CodecSpec, items: List, workers) -> Tuple[List, PipelineStats]:
     """Deal ``items`` round-robin over the shard-execution seam and merge

@@ -10,7 +10,6 @@ from repro.archive import (
     ArchiveWriter,
     ShardedArchiveReader,
     ShardedArchiveWriter,
-    StreamingIngestor,
     ingest_async,
     ingest_frames,
     iter_compress,
@@ -29,8 +28,29 @@ def named_feed(frames):
     return ((name, frame) for name, frame in zip(names_for(len(frames)), frames))
 
 
+def run_ingest_frames(writer, feed, queue_depth):
+    return ingest_frames(writer, feed, queue_depth=queue_depth)
+
+
+def run_ingest_async_sync_feed(writer, feed, queue_depth):
+    return asyncio.run(ingest_async(writer, feed, queue_depth=queue_depth))
+
+
+def run_ingest_async_async_feed(writer, feed, queue_depth):
+    async def async_feed():
+        for item in feed:
+            yield item
+
+    return asyncio.run(ingest_async(writer, async_feed(), queue_depth=queue_depth))
+
+
 class TestBoundedIngest:
-    def test_64_frame_feed_holds_at_most_queue_depth(self, tmp_path):
+    @pytest.mark.parametrize(
+        "run",
+        [run_ingest_frames, run_ingest_async_sync_feed, run_ingest_async_async_feed],
+        ids=["ingest_frames", "ingest_async-sync-feed", "ingest_async-async-feed"],
+    )
+    def test_64_frame_feed_holds_at_most_queue_depth(self, tmp_path, run):
         """Acceptance: a 64-frame feed never has more than ``queue_depth``
         undecoded frames in memory at once — measured from the feed side,
         not trusted from the implementation."""
@@ -55,9 +75,7 @@ class TestBoundedIngest:
 
         queue_depth = 4
         with ArchiveWriter.create(tmp_path / "stream.dwta") as writer:
-            report = ingest_frames(
-                CountingWriter(writer), feed(), queue_depth=queue_depth
-            )
+            report = run(CountingWriter(writer), feed(), queue_depth)
         assert report.frames == 64
         assert gauge["peak"] <= queue_depth
         assert report.max_in_flight <= queue_depth
@@ -119,7 +137,7 @@ class TestBoundedIngest:
     def test_rejects_bad_queue_depth(self, tmp_path):
         with ArchiveWriter.create(tmp_path / "x.dwta") as writer:
             with pytest.raises(ValueError, match="queue_depth"):
-                StreamingIngestor(writer, queue_depth=0)
+                ingest_frames(writer, iter(()), queue_depth=0)
 
 
 class TestIterCompress:
