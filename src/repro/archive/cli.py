@@ -521,21 +521,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         if args.json:
             records = []
             for e in reader:
-                record = {
-                    "index": e.index,
-                    "name": e.name,
-                    "codec": e.codec,
-                    "scales": e.scales,
-                    "bit_depth": e.bit_depth,
-                    "shape": list(e.shape),
-                    "bank": e.bank_name,
-                    "use_rle": e.use_rle,
-                    "offset": e.offset,
-                    "stored_bytes": e.length,
-                    "raw_bytes": e.raw_bytes,
-                    "crc32": f"{e.crc32:08x}",
-                    "layout": e.layout,
-                }
+                record = e.record()
                 if sharded:
                     shard = reader.router.route(e.name)
                     record["shard"] = shard

@@ -67,7 +67,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, List, Tuple
+from typing import BinaryIO, Dict, List, Tuple
 
 from ..coding.spec import codec_wire_ids
 
@@ -228,6 +228,25 @@ class FrameInfo:
     @property
     def compression_ratio(self) -> float:
         return self.raw_bytes / self.length if self.length else float("inf")
+
+    def record(self) -> Dict[str, object]:
+        """The entry as a JSON-ready listing record — the one field set
+        ``list --json`` and the HTTP server's frame metadata share."""
+        return {
+            "index": self.index,
+            "name": self.name,
+            "codec": self.codec,
+            "scales": self.scales,
+            "bit_depth": self.bit_depth,
+            "shape": list(self.shape),
+            "bank": self.bank_name,
+            "use_rle": self.use_rle,
+            "offset": self.offset,
+            "stored_bytes": self.length,
+            "raw_bytes": self.raw_bytes,
+            "crc32": f"{self.crc32:08x}",
+            "layout": self.layout,
+        }
 
 
 def pack_header(header: Header) -> bytes:

@@ -33,7 +33,6 @@ per-stage wall-clock stats as in-memory pipeline runs.
 
 from __future__ import annotations
 
-import struct
 import threading
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -66,6 +65,7 @@ from .serialize import (
     deserialize_stream,
     frame_spec,
     parse_section_table,
+    section_table_length,
     sections_to_stream,
 )
 
@@ -293,7 +293,11 @@ class ArchiveReader:
         the backend's storage; they stay valid until :meth:`close`.
         """
         entry = self.find(key)
-        stream = deserialize_stream(self.read_payload_view(entry))
+        return self._agreeing(entry, deserialize_stream(self.read_payload_view(entry)))
+
+    @staticmethod
+    def _agreeing(entry: FrameInfo, stream: CompressedStream) -> CompressedStream:
+        """``stream``, once its codec and geometry match the index entry."""
         if (
             codec_name_for_stream(stream) != entry.codec
             or stream.scales != entry.scales
@@ -345,31 +349,24 @@ class ArchiveReader:
         if entry.layout != LAYOUT_SUBBAND_MAJOR:
             return self.read_stream(entry)
         head = bytes(self.read_payload_slice(entry, 0, PAYLOAD_HEAD_SIZE))
-        _sentinel, _version, meta_len = struct.unpack("<IBI", head)
-        if PAYLOAD_HEAD_SIZE + meta_len + 4 > entry.length:
+        table_length = section_table_length(head)
+        if table_length > entry.length:
             raise TruncatedArchiveError(
                 f"frame {entry.name!r}: {entry.length}-byte payload cannot hold "
-                f"its declared {meta_len}-byte section table"
+                f"its declared {table_length}-byte section table"
             )
-        meta = bytes(
-            self.read_payload_slice(entry, PAYLOAD_HEAD_SIZE, meta_len + 4)
+        # A head that lost its sentinel parses as frame-major and is refused
+        # by the table below; never ask for a negative-length slice for it.
+        rest = max(table_length - PAYLOAD_HEAD_SIZE, 0)
+        table = parse_section_table(
+            head + bytes(self.read_payload_slice(entry, PAYLOAD_HEAD_SIZE, rest))
         )
-        table = parse_section_table(head + meta)
         needed = table.prefix_length(at_scale) - table.body_offset
         body = self.read_payload_slice(entry, table.body_offset, needed)
-        stream = sections_to_stream(
-            table, body, at_scale=at_scale, verify=self.verify_checksums
+        return self._agreeing(
+            entry,
+            sections_to_stream(table, body, at_scale=at_scale, verify=self.verify_checksums),
         )
-        if (
-            codec_name_for_stream(stream) != entry.codec
-            or stream.scales != entry.scales
-            or tuple(stream.image_shape) != entry.shape
-        ):
-            raise ArchiveFormatError(
-                f"frame {entry.name!r}: payload metadata disagrees with its "
-                "index entry"
-            )
-        return stream
 
     def read_preview(self, key: FrameKey, at_scale: int) -> np.ndarray:
         """Decode the scale-``at_scale`` preview of one frame.

@@ -22,10 +22,12 @@ self-healing by keeping every shard in R+1 byte-identical copies:
     was rebuilt.  A shard is unrepairable only when *none* of its copies is
     healthy — exactly the condition under which reads fail too.
 
-Read-side failover itself lives in ``ShardedArchiveReader`` (any manifest
-with a replica map gets it automatically); this module owns the write
-fan-out and the repair path, plus the ``python -m repro.archive repair``
-wiring in :mod:`repro.archive.cli`.
+Read-side failover lives in ``ShardedArchiveReader`` and the write fan-out
+in ``ShardedArchiveWriter`` (every set writes each shard through all the
+copies its manifest names; an unreplicated set has one), so any manifest
+with a replica map gets both automatically.  This module owns the
+replicated create and the repair path, plus the ``python -m repro.archive
+repair`` wiring in :mod:`repro.archive.cli`.
 """
 
 from __future__ import annotations
@@ -33,28 +35,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..coding.spec import CodecSpec, spec_or_default
+from ..coding.spec import CodecSpec
 from .backend import StorageBackend
-from .format import (
-    LAYOUT_FRAME_MAJOR,
-    LAYOUTS,
-    MANIFEST_VERSION,
-    ArchiveIntegrityError,
-    FrameInfo,
-    ShardManifest,
-)
-from .placement import normalize_placement
+from .format import LAYOUT_FRAME_MAJOR, ArchiveIntegrityError
 from .reader import VerifyReport
-from .serialize import CompressedStream
 from .sharding import (
     PathLike,
     ShardedArchiveReader,
     ShardedArchiveWriter,
-    shard_file_names,
+    shard_replica_names,
 )
-from .writer import ArchiveWriter
 
 __all__ = [
     "shard_replica_names",
@@ -62,64 +54,6 @@ __all__ = [
     "RepairReport",
     "repair_set",
 ]
-
-
-def shard_replica_names(
-    manifest_path: PathLike, shard_count: int, replicas: int
-) -> Tuple[Tuple[str, ...], ...]:
-    """Default replica file names: ``<stem>.shard<i>.r<j>.dwta``.
-
-    One tuple per shard, ``replicas`` names each, mirroring
-    :func:`~repro.archive.sharding.shard_file_names` for the primaries.
-    """
-    stem = Path(manifest_path).stem
-    return tuple(
-        tuple(f"{stem}.shard{i:03d}.r{j}.dwta" for j in range(replicas))
-        for i in range(shard_count)
-    )
-
-
-class _FanOutWriter:
-    """One shard's in-process write fan-out: primary plus replicas.
-
-    Duck-types the slice of :class:`~repro.archive.writer.ArchiveWriter`
-    that :class:`~repro.archive.sharding.ShardedArchiveWriter` uses
-    (``add_stream``/``add_batch``/``close``), applying every mutation to
-    each copy in primary-first order and reporting the primary's index
-    entries.  All copies see identical streams against identical starting
-    bytes, so they stay byte-identical.
-    """
-
-    def __init__(
-        self,
-        paths: Sequence[Path],
-        spec: CodecSpec,
-        layout: str = LAYOUT_FRAME_MAJOR,
-    ) -> None:
-        self.writers = [
-            ArchiveWriter.append(path, spec=spec, layout=layout) for path in paths
-        ]
-
-    def add_stream(self, stream: CompressedStream, name: str) -> FrameInfo:
-        entry: Optional[FrameInfo] = None
-        for writer in self.writers:
-            copy_entry = writer.add_stream(stream, name)
-            if entry is None:
-                entry = copy_entry
-        assert entry is not None
-        return entry
-
-    def add_batch(self, batch, names: Sequence[str]) -> List[FrameInfo]:
-        entries: Optional[List[FrameInfo]] = None
-        for writer in self.writers:
-            copy_entries = writer.add_batch(batch, names=names)
-            if entries is None:
-                entries = copy_entries
-        return entries or []
-
-    def close(self) -> None:
-        for writer in self.writers:
-            writer.close()
 
 
 class ReplicatedShardSet(ShardedArchiveWriter):
@@ -152,46 +86,15 @@ class ReplicatedShardSet(ShardedArchiveWriter):
         v3 when ``placement`` maps shards to preferred worker nodes)."""
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
-        spec = spec_or_default(spec)
-        path = Path(path)
-        if path.exists() and not overwrite:
-            raise FileExistsError(
-                f"shard-set manifest {path} already exists (pass overwrite=True)"
-            )
-        shard_names = tuple(shard_file_names(path, shards))
-        node_ids = normalize_placement(placement, shard_names)
-        manifest = ShardManifest(
-            version=MANIFEST_VERSION if node_ids else 2,
-            router=router,
-            shard_names=shard_names,
-            spec_json=spec.to_json(),
-            boundaries=tuple(boundaries),
-            replica_names=shard_replica_names(path, shards, replicas),
-            layout=layout,
-            node_ids=node_ids,
+        return cls._create(
+            path, shards, replicas=replicas, router=router, boundaries=boundaries, spec=spec,
+            overwrite=overwrite, workers=workers, layout=layout, placement=placement,
         )
-        return cls._init_set(path, manifest, spec, overwrite, workers)
 
-    # -- fan-out plumbing ---------------------------------------------------------------
     @property
     def replicas(self) -> int:
         """Replicas per shard (beyond the primary)."""
         return self.manifest.replicas
-
-    def _copy_paths(self, shard: int) -> List[Path]:
-        return [self.path.parent / name for name in self.manifest.copies(shard)]
-
-    def _writer(self, shard: int) -> _FanOutWriter:
-        """Every append (``add_stream`` and ``append_batch``, whichever
-        transport compressed the batch) writes through a fan-out writer,
-        so every copy receives the same streams."""
-        if shard not in self._writers:
-            self._writers[shard] = _FanOutWriter(
-                self._copy_paths(shard), self.spec, layout=self.manifest.layout
-            )
-        return self._writers[shard]
 
 
 # ---------------------------------------------------------------------------

@@ -2,51 +2,56 @@
 
 A frame payload is the self-describing byte form of one compressed stream
 (:class:`~repro.coding.codec.CompressedImage` or
-:class:`~repro.coding.s_transform.CompressedSImage`)::
+:class:`~repro.coding.s_transform.CompressedSImage`).  Both payload layouts
+are one **section table** — a meta block — followed by the subbands'
+entropy-coded bytes; they differ only in the head in front of the table,
+the order of the descriptors and a CRC per descriptor::
 
-    +------------------+
-    | meta_len  (u32)  |  little-endian, like every container structure
-    +------------------+
-    | meta block       |  bit-packed through repro.coding.bitstream
-    +------------------+  (fields MSB-first, all widths byte multiples)
-    | chunk bytes      |  entropy-coded subband payloads, concatenated in
-    +------------------+  the order the meta block declares
+    frame-major (v1)                subband-major (v2)
+    +------------------+            +----------------------------+
+    | meta_len  (u32)  |            | sentinel 0xFFFFFFFF (u32)  |
+    +------------------+            | payload_version (u8) = 2   |
+    | meta block       |            | meta_len (u32)  ("<IBI")   |
+    +------------------+            +----------------------------+
+    | section bytes    |            | meta block (+ section CRCs)|
+    +------------------+            +----------------------------+
+      storage order                 | meta CRC-32 (u32 LE)       |
+                                    +----------------------------+
+                                    | section bytes              |
+                                    +----------------------------+
+                                      coarsest first
 
-The meta block is the serialised form of the frame's
+The meta block is bit-packed through :mod:`repro.coding.bitstream` (fields
+MSB-first, all widths byte multiples): the frame's
 :class:`~repro.coding.spec.CodecSpec` (codec wire id from the registry,
 depth, geometry, bit depth, filter-bank and word-length metadata) followed
-by per-subband chunk descriptors (kind, scale, shape, byte lengths); the
-chunk bytes are the codecs' entropy-coded payloads verbatim.  Deserialising
-a payload therefore needs nothing outside the payload itself, which is what
-makes single-frame random access possible:
-:func:`deserialize_stream_with_spec` returns both the stream and the
-reconstructed spec, and :func:`frame_spec` rebuilds the spec from an index
-entry alone, without reading the payload.
+by one descriptor per subband (kind, scale, shape, RLE flag and byte
+lengths, plus the section's CRC-32 in the subband-major layout).  The
+descriptors are fixed-width, so the parser reads each with one big-endian
+``struct`` unpack instead of bit by bit.  A section's bytes are the codec's entropy-coded literal payload immediately
+followed by its run payload (empty unless ``use_rle``).  Deserialising a
+payload needs nothing outside the payload itself, which is what makes
+single-frame random access possible: :func:`deserialize_stream_with_spec`
+returns both the stream and the reconstructed spec, and :func:`frame_spec`
+rebuilds the spec from an index entry alone, without reading the payload.
 
-Since container version 2 a payload may instead use the **subband-major**
-layout, built for progressive retrieval::
+:func:`parse_section_table` is the one parser of that table for both
+layouts — the payload's first word picks the head (:data:`PAYLOAD_SENTINEL`)
+— and :func:`serialize_stream` its one writer.  The parser requires the
+descriptors to be exactly the frame's Mallat pyramid: HH at scale ``S``
+plus HG, GH and GG at every scale ``1..S``, each of shape
+``(height >> scale, width >> scale)``; anything else is an
+:class:`ArchiveFormatError` before a single section byte is decoded.
 
-    +----------------------------+
-    | sentinel 0xFFFFFFFF (u32)  |  impossible as a v1 meta_len
-    | payload_version (u8) = 2   |
-    | meta_len (u32)             |  9 bytes total ("<IBI")
-    +----------------------------+
-    | meta block                 |  v1 fields + per-section CRC-32s
-    +----------------------------+
-    | meta CRC-32 (u32 LE)       |  the section table is self-verifying
-    +----------------------------+
-    | section bytes              |  one independently entropy-coded
-    +----------------------------+  section per subband, coarsest first
-
-Sections are ordered by ``(-scale, kind_id)`` — the scale-S approximation
-(HH) first, then each scale's details coarsest to finest — so the bytes
-needed to reconstruct a preview at scale ``k`` are a **strict prefix** of
-the payload: the 9-byte head, the meta block and its CRC, and every
-section with ``scale > k`` (plus HH).  :func:`parse_section_table` reads
-the table alone, :func:`prefix_length` prices a preview in bytes, and
-:func:`deserialize_prefix` reconstructs a partial stream from exactly
-those bytes, each section verified against its own CRC-32 so a prefix is
-trustworthy without the container-level whole-payload checksum.
+Subband-major sections are ordered by ``(-scale, kind_id)`` — the scale-S
+approximation (HH) first, then each scale's details coarsest to finest — so
+the bytes needed to reconstruct a preview at scale ``k`` are a **strict
+prefix** of the payload: the 9-byte head, the meta block and its CRC, and
+every section with ``scale > k`` (plus HH).  :func:`prefix_length` prices a
+preview in bytes, and :func:`deserialize_prefix` reconstructs a partial
+stream from exactly those bytes, each section verified against its own
+CRC-32 so a prefix is trustworthy without the container-level whole-payload
+checksum.
 
 Codec identity is validated through the codec registry
 (:func:`repro.coding.spec.get_family`); registry errors are wrapped in
@@ -65,9 +70,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from dataclasses import replace as _dc_replace
-from typing import List, Tuple, Union
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import List, Optional, Tuple, Union
 
 from ..coding.bitstream import BitReader, BitWriter
 from ..coding.codec import CompressedImage, SubbandChunk
@@ -107,6 +112,7 @@ __all__ = [
     "deserialize_stream",
     "deserialize_stream_with_spec",
     "parse_section_table",
+    "section_table_length",
     "sections_to_stream",
     "deserialize_prefix",
     "prefix_length",
@@ -127,6 +133,7 @@ Payload = Union[bytes, memoryview]
 #: and exceed every container bound), so the sentinel tells the two layouts
 #: apart from the payload's own first word.
 PAYLOAD_SENTINEL = 0xFFFFFFFF
+_SENTINEL_BYTES = struct.pack("<I", PAYLOAD_SENTINEL)
 
 #: Version byte of the sectioned payload layout (matches the container
 #: version that introduced it).  Readers reject newer payload versions.
@@ -138,15 +145,32 @@ _PAYLOAD_HEAD_STRUCT = struct.Struct("<IBI")
 PAYLOAD_HEAD_SIZE = _PAYLOAD_HEAD_STRUCT.size
 
 
+@lru_cache(maxsize=None)
+def _descriptor_struct(uses_bank: bool, sectioned: bool) -> struct.Struct:
+    """One section descriptor as the meta block stores it: kind u8, scale
+    u8, shape 2 x u32, ``use_rle`` u8 (bank codecs only), payload length
+    u32, run length u32 (bank codecs only), CRC u32 (subband-major only).
+    Big-endian, because :class:`BitWriter` packs MSB first and every field
+    is whole bytes."""
+    return struct.Struct(
+        ">BBII" + ("BII" if uses_bank else "I") + ("I" if sectioned else "")
+    )
+
+#: What a stream carries besides its subbands: ``(bank_name, scales,
+#: image_shape, bit_depth)``; ``bank_name`` is empty for the S-transform.
+_Header = Tuple[str, int, Tuple[int, int], int]
+
+
 @dataclass(frozen=True)
 class PayloadSection:
-    """One subband's entry in a subband-major payload's section table.
+    """One subband's descriptor in a payload's section table.
 
     ``offset`` is the section's absolute byte offset within the payload;
     the section's bytes are the chunk's entropy-coded literal payload
-    immediately followed by its run payload (empty unless ``use_rle``), and
-    ``crc32`` covers exactly those ``length`` bytes, so any section — hence
-    any prefix — verifies on its own.
+    immediately followed by its run payload (empty unless ``use_rle``).  In
+    the subband-major layout ``crc32`` covers exactly those ``length``
+    bytes, so any section — hence any prefix — verifies on its own;
+    frame-major sections carry no CRC (``None``).
     """
 
     index: int
@@ -156,7 +180,7 @@ class PayloadSection:
     use_rle: bool
     payload_len: int
     run_len: int
-    crc32: int
+    crc32: Optional[int]
     offset: int
 
     @property
@@ -166,17 +190,18 @@ class PayloadSection:
 
 @dataclass(frozen=True)
 class SectionTable:
-    """Parsed section table of a subband-major payload.
+    """Parsed section table (meta block) of a payload, either layout.
 
     Holds everything the meta block declares — codec configuration plus the
     ordered section descriptors — without touching a single section byte,
     so it can be built from the payload's (head + meta) prefix alone.
-    ``body_offset`` is where section bytes begin
-    (``PAYLOAD_HEAD_SIZE + meta_len + 4``); sections are stored coarsest
-    first (descending scale, the HH approximation leading its scale), which
-    is what makes every preview a strict prefix.
+    ``body_offset`` is where section bytes begin (:func:`section_table_length`).
+    Subband-major sections are stored coarsest first (descending scale, the
+    HH approximation leading its scale), which is what makes every preview
+    a strict prefix; frame-major sections keep their storage order.
     """
 
+    layout: str
     codec: str
     scales: int
     image_shape: Tuple[int, int]
@@ -191,33 +216,42 @@ class SectionTable:
 
     @property
     def payload_length(self) -> int:
-        """Total payload size in bytes (head + meta + CRC + every section)."""
+        """Total payload size in bytes (head + table + every section)."""
         return self.body_offset + sum(s.length for s in self.sections)
 
     def spec(self) -> CodecSpec:
         """The :class:`CodecSpec` the table describes."""
-        if self.bank_name:
-            return CodecSpec(
-                codec=self.codec,
-                scales=self.scales,
-                bit_depth=self.bit_depth,
-                bank=self.bank_name,
-                use_rle=self.use_rle,
-            )
-        return CodecSpec(codec=self.codec, scales=self.scales, bit_depth=self.bit_depth)
-
-    def _check_scale(self, at_scale: int) -> None:
-        if not 0 <= at_scale <= self.scales:
-            raise ValueError(
-                f"at_scale must be within [0, {self.scales}], got {at_scale}"
-            )
+        try:
+            if self.bank_name:
+                return CodecSpec(
+                    codec=self.codec,
+                    scales=self.scales,
+                    bit_depth=self.bit_depth,
+                    bank=self.bank_name,
+                    use_rle=self.use_rle,
+                )
+            return CodecSpec(codec=self.codec, scales=self.scales, bit_depth=self.bit_depth)
+        except (ValueError, TypeError) as exc:
+            raise ArchiveFormatError(
+                f"frame payload metadata does not form a valid codec "
+                f"configuration ({exc})"
+            ) from exc
 
     def prefix_sections(self, at_scale: int) -> Tuple[PayloadSection, ...]:
         """The sections a scale-``at_scale`` preview needs — always a
         leading run of :attr:`sections` thanks to the coarsest-first order:
         the HH approximation plus every detail section coarser than
-        ``at_scale``.  ``at_scale=0`` is the full section list."""
-        self._check_scale(at_scale)
+        ``at_scale``.  ``at_scale=0`` is the full section list, for either
+        layout; a frame-major table has no shorter prefix and raises
+        :class:`ArchiveFormatError` for any other scale."""
+        if at_scale == 0:
+            return self.sections
+        if self.layout != LAYOUT_SUBBAND_MAJOR:
+            raise ArchiveFormatError("payload is not subband-major (no sentinel)")
+        if not 0 <= at_scale <= self.scales:
+            raise ValueError(
+                f"at_scale must be within [0, {self.scales}], got {at_scale}"
+            )
         return tuple(
             s for s in self.sections if s.kind == "HH" or s.scale > at_scale
         )
@@ -263,6 +297,48 @@ def frame_spec(entry: FrameInfo) -> CodecSpec:
         ) from exc
 
 
+# ---------------------------------------------------------------------------
+# The two in-memory stream types, named only here
+# ---------------------------------------------------------------------------
+
+def _stream_rows(stream: CompressedStream) -> Tuple[_Header, List[SubbandChunk]]:
+    """A stream's header and its subbands as :class:`SubbandChunk` rows, in
+    the stream's own storage order (S-transform rows carry no RLE)."""
+    if isinstance(stream, CompressedImage):
+        header = (stream.bank_name, stream.scales, stream.image_shape, stream.bit_depth)
+        return header, list(stream.chunks)
+    rows = [
+        SubbandChunk(kind, scale, stream.shapes[(kind, scale)], False, payload)
+        for (kind, scale), payload in stream.chunks.items()
+    ]
+    return ("", stream.scales, stream.image_shape, stream.bit_depth), rows
+
+
+def _rows_stream(header: _Header, rows: List[SubbandChunk]) -> CompressedStream:
+    """The stream a header and its rows describe — a coefficient stream
+    when the header names a filter bank, an S-transform one if not."""
+    bank_name, scales, image_shape, bit_depth = header
+    if bank_name:
+        return CompressedImage(
+            bank_name=bank_name,
+            scales=scales,
+            image_shape=image_shape,
+            bit_depth=bit_depth,
+            chunks=rows,
+        )
+    return CompressedSImage(
+        scales=scales,
+        image_shape=image_shape,
+        bit_depth=bit_depth,
+        chunks={(row.kind, row.scale): row.payload for row in rows},
+        shapes={(row.kind, row.scale): row.shape for row in rows},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Writing
+# ---------------------------------------------------------------------------
+
 def _write_ascii(writer: BitWriter, text: str, length_bits: int = 8) -> None:
     data = text.encode("utf-8")
     if len(data) >= (1 << length_bits):
@@ -277,65 +353,6 @@ def _read_ascii(reader: BitReader, length_bits: int = 8) -> str:
     return bytes(reader.read_uint(8) for _ in range(length)).decode("utf-8")
 
 
-def _normalized_sections(stream: CompressedStream):
-    """Every chunk as ``(kind, scale, shape, use_rle, payload, run_payload)``
-    in section order — descending scale, :data:`KIND_IDS` order within a
-    scale, so the HH approximation leads.  Chunk *storage* order in the
-    in-memory streams is irrelevant to decode (lookup is by kind/scale), so
-    re-sorting here loses nothing and buys the prefix property."""
-    if isinstance(stream, CompressedImage):
-        rows = [
-            (c.kind, c.scale, c.shape, c.use_rle, c.payload, c.run_payload)
-            for c in stream.chunks
-        ]
-    else:
-        rows = [
-            (kind, scale, stream.shapes[(kind, scale)], False, payload, b"")
-            for (kind, scale), payload in stream.chunks.items()
-        ]
-    return sorted(rows, key=lambda row: (-row[1], KIND_IDS[row[0]]))
-
-
-def _serialize_subband_major(stream: CompressedStream, spec: CodecSpec) -> bytes:
-    family = spec.family
-    writer = BitWriter()
-    writer.write_uint(family.wire_id, 8)
-    writer.write_uint(spec.scales, 8)
-    writer.write_uint(stream.image_shape[0], 32)
-    writer.write_uint(stream.image_shape[1], 32)
-    writer.write_uint(spec.bit_depth, 8)
-    sections = _normalized_sections(stream)
-    section_bytes: List[bytes] = []
-    if family.uses_bank:
-        _write_ascii(writer, spec.bank_name)
-        plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
-        writer.write_uint(plan.data_formats[1].word_length, 8)
-        writer.write_uint(plan.accumulator_bits, 8)
-        for bits in plan.integer_bits():
-            writer.write_uint(bits, 8)
-    writer.write_uint(len(sections), 16)
-    for kind, scale, shape, use_rle, payload, run_payload in sections:
-        writer.write_uint(KIND_IDS[kind], 8)
-        writer.write_uint(scale, 8)
-        writer.write_uint(shape[0], 32)
-        writer.write_uint(shape[1], 32)
-        if family.uses_bank:
-            writer.write_uint(1 if use_rle else 0, 8)
-        writer.write_uint(len(payload), 32)
-        if family.uses_bank:
-            writer.write_uint(len(run_payload), 32)
-        # Per-section CRC over the section's bytes exactly as stored
-        # (literal payload then run payload) — a prefix read verifies each
-        # section it takes without the container-level payload checksum.
-        writer.write_uint(zlib.crc32(run_payload, zlib.crc32(payload)) & 0xFFFFFFFF, 32)
-        section_bytes.append(payload)
-        if run_payload:
-            section_bytes.append(run_payload)
-    meta = writer.getvalue()
-    head = _PAYLOAD_HEAD_STRUCT.pack(PAYLOAD_SENTINEL, PAYLOAD_VERSION, len(meta))
-    return b"".join([head, meta, struct.pack("<I", crc32(meta)), *section_bytes])
-
-
 def serialize_stream(
     stream: CompressedStream, layout: str = LAYOUT_FRAME_MAJOR
 ) -> bytes:
@@ -347,23 +364,29 @@ def serialize_stream(
     ``layout`` selects the wire form: the version-1 ``"frame-major"``
     monolith (the default, byte-identical to what every earlier writer
     produced) or the version-2 ``"subband-major"`` sectioned layout that
-    supports strict-prefix preview decode.
+    supports strict-prefix preview decode.  The layout decides the head,
+    the descriptor order (storage order vs coarsest first) and whether
+    each descriptor carries its section's CRC — nothing else.
     """
     spec = spec_for_stream(stream)
     if layout not in LAYOUTS:
         raise ValueError(
             f"unknown payload layout {layout!r} (expected one of {LAYOUTS})"
         )
-    if layout == LAYOUT_SUBBAND_MAJOR:
-        return _serialize_subband_major(stream, spec)
+    sectioned = layout == LAYOUT_SUBBAND_MAJOR
     family = spec.family
+    _, rows = _stream_rows(stream)
+    if sectioned:
+        # Storage order in the in-memory streams is irrelevant to decode
+        # (lookup is by kind/scale), so re-sorting loses nothing and buys
+        # the prefix property.
+        rows.sort(key=lambda row: (-row.scale, KIND_IDS[row.kind]))
     writer = BitWriter()
     writer.write_uint(family.wire_id, 8)
     writer.write_uint(spec.scales, 8)
     writer.write_uint(stream.image_shape[0], 32)
     writer.write_uint(stream.image_shape[1], 32)
     writer.write_uint(spec.bit_depth, 8)
-    chunk_bytes: List[bytes] = []
     if family.uses_bank:
         _write_ascii(writer, spec.bank_name)
         plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
@@ -371,30 +394,37 @@ def serialize_stream(
         writer.write_uint(plan.accumulator_bits, 8)
         for bits in plan.integer_bits():
             writer.write_uint(bits, 8)
-        writer.write_uint(len(stream.chunks), 16)
-        for chunk in stream.chunks:
-            writer.write_uint(KIND_IDS[chunk.kind], 8)
-            writer.write_uint(chunk.scale, 8)
-            writer.write_uint(chunk.shape[0], 32)
-            writer.write_uint(chunk.shape[1], 32)
-            writer.write_uint(1 if chunk.use_rle else 0, 8)
-            writer.write_uint(len(chunk.payload), 32)
-            writer.write_uint(len(chunk.run_payload), 32)
-            chunk_bytes.append(chunk.payload)
-            chunk_bytes.append(chunk.run_payload)
-    else:
-        writer.write_uint(len(stream.chunks), 16)
-        for (kind, scale), payload in stream.chunks.items():
-            shape = stream.shapes[(kind, scale)]
-            writer.write_uint(KIND_IDS[kind], 8)
-            writer.write_uint(scale, 8)
-            writer.write_uint(shape[0], 32)
-            writer.write_uint(shape[1], 32)
-            writer.write_uint(len(payload), 32)
-            chunk_bytes.append(payload)
+    writer.write_uint(len(rows), 16)
+    body: List[Payload] = []
+    for row in rows:
+        writer.write_uint(KIND_IDS[row.kind], 8)
+        writer.write_uint(row.scale, 8)
+        writer.write_uint(row.shape[0], 32)
+        writer.write_uint(row.shape[1], 32)
+        if family.uses_bank:
+            writer.write_uint(1 if row.use_rle else 0, 8)
+        writer.write_uint(len(row.payload), 32)
+        if family.uses_bank:
+            writer.write_uint(len(row.run_payload), 32)
+        if sectioned:
+            # Per-section CRC over the section's bytes exactly as stored
+            # (literal payload then run payload) — a prefix read verifies
+            # each section it takes without the whole-payload checksum.
+            crc = zlib.crc32(row.run_payload, zlib.crc32(row.payload))
+            writer.write_uint(crc & 0xFFFFFFFF, 32)
+        body += (row.payload, row.run_payload)
     meta = writer.getvalue()
-    return b"".join([struct.pack("<I", len(meta)), meta, *chunk_bytes])
+    if sectioned:
+        head = _PAYLOAD_HEAD_STRUCT.pack(PAYLOAD_SENTINEL, PAYLOAD_VERSION, len(meta))
+        tail = struct.pack("<I", crc32(meta))
+    else:
+        head, tail = struct.pack("<I", len(meta)), b""
+    return b"".join([head, meta, tail, *body])
 
+
+# ---------------------------------------------------------------------------
+# Reading: one table parser for both layouts
+# ---------------------------------------------------------------------------
 
 def _check_plan(reader: BitReader, bank_name: str, scales: int) -> None:
     """Verify stored word-length metadata against the freshly derived plan."""
@@ -421,6 +451,75 @@ def _check_plan(reader: BitReader, bank_name: str, scales: int) -> None:
         )
 
 
+def _check_geometry(
+    sections: List[PayloadSection], scales: int, image_shape: Tuple[int, int]
+) -> None:
+    """Require the descriptors to be exactly the frame's Mallat pyramid:
+    HH at the coarsest scale plus HG/GH/GG at every scale, each of shape
+    ``(height >> scale, width >> scale)`` — so a doctored table is a typed
+    format error here, never a reshape or lookup failure in a decoder."""
+    height, width = image_shape
+    expected = {("HH", scales)} | {
+        (kind, scale) for scale in range(1, scales + 1) for kind in ("HG", "GH", "GG")
+    }
+    seen = set()
+    for s in sections:
+        key = (s.kind, s.scale)
+        if key not in expected or key in seen:
+            raise ArchiveFormatError(
+                f"frame payload geometry: section {s.index} ({s.kind}@{s.scale}) "
+                f"is not a distinct subband of a {scales}-scale pyramid"
+            )
+        if s.shape != (height >> s.scale, width >> s.scale):
+            raise ArchiveFormatError(
+                f"frame payload geometry: section {s.index} ({s.kind}@{s.scale}) "
+                f"has shape {s.shape}, not {(height >> s.scale, width >> s.scale)} "
+                f"for a {height}x{width} image"
+            )
+        seen.add(key)
+    if seen != expected:
+        missing = ", ".join(f"{k}@{s}" for k, s in sorted(expected - seen))
+        raise ArchiveFormatError(
+            f"frame payload geometry: the section table has no {missing} subband"
+        )
+
+
+def _parse_head(payload: Payload) -> Tuple[bool, int, int]:
+    """``(sectioned, meta_start, meta_len)`` from a payload's head.
+
+    The first word picks the layout: the sentinel (or, on fewer than four
+    bytes, a prefix of it) means the 9-byte subband-major head, anything
+    else is the version-1 ``u32 meta_len``.
+    """
+    first = bytes(payload[:4])
+    if first == _SENTINEL_BYTES[: len(first)]:
+        if len(payload) < PAYLOAD_HEAD_SIZE:
+            raise TruncatedArchiveError(
+                f"frame payload ends inside its {PAYLOAD_HEAD_SIZE}-byte "
+                "subband-major head"
+            )
+        _, version, meta_len = _PAYLOAD_HEAD_STRUCT.unpack_from(payload, 0)
+        if version != PAYLOAD_VERSION:
+            raise ArchiveFormatError(
+                f"subband-major payload version {version} is not supported "
+                f"(expected {PAYLOAD_VERSION})"
+            )
+        return True, PAYLOAD_HEAD_SIZE, meta_len
+    if len(first) < 4:
+        raise ArchiveFormatError("frame payload shorter than its length prefix")
+    (meta_len,) = struct.unpack("<I", first)
+    return False, 4, meta_len
+
+
+def section_table_length(head: Payload) -> int:
+    """Bytes from the payload's start through its section table — the
+    head, the meta block and (subband-major) the meta CRC — read from the
+    head alone (:data:`PAYLOAD_HEAD_SIZE` bytes suffice for either
+    layout).  This is :attr:`SectionTable.body_offset` before parsing."""
+    sectioned, meta_start, meta_len = _parse_head(head)
+    return meta_start + meta_len + (4 if sectioned else 0)
+
+
 def is_subband_major(payload: Payload) -> bool:
     """Whether the payload bytes use the version-2 subband-major layout.
 
@@ -428,10 +527,7 @@ def is_subband_major(payload: Payload) -> bool:
     :data:`PAYLOAD_SENTINEL`), so it works on any prefix of at least four
     bytes; shorter inputs are nobody's payload and report ``False``.
     """
-    if len(payload) < 4:
-        return False
-    (word,) = struct.unpack_from("<I", payload, 0)
-    return word == PAYLOAD_SENTINEL
+    return bytes(payload[:4]) == _SENTINEL_BYTES
 
 
 def payload_layout(payload: Payload) -> str:
@@ -440,44 +536,42 @@ def payload_layout(payload: Payload) -> str:
 
 
 def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTable:
-    """Parse a subband-major payload's head and section table.
+    """Parse a payload's head and section table, either layout.
 
-    Touches only the payload's ``(head + meta + meta CRC)`` prefix — never
-    a section byte — so it accepts a prefix read as readily as a whole
-    payload.  A payload cut *inside* the table raises
+    Touches only the payload's head and table — never a section byte — so
+    it accepts a prefix read as readily as a whole payload.  On a
+    subband-major payload, bytes cut *inside* the table raise
     :class:`TruncatedArchiveError` naming the section descriptor the bytes
-    end in; a complete table whose CRC disagrees raises
-    :class:`ArchiveIntegrityError`.  ``check_plan=False`` skips the
-    word-length plan validation for triage callers (:func:`payload_spec`).
+    end in, and a complete table whose CRC disagrees raises
+    :class:`ArchiveIntegrityError`.  A frame-major meta block must be whole
+    (:class:`ArchiveFormatError` otherwise).  Either layout's descriptors
+    must form the frame's subband pyramid (see the module docstring).
+    ``check_plan=False`` skips the word-length plan validation for triage
+    callers (:func:`payload_spec`).
     """
-    if len(payload) < PAYLOAD_HEAD_SIZE:
-        raise TruncatedArchiveError(
-            f"frame payload ends inside its {PAYLOAD_HEAD_SIZE}-byte "
-            "subband-major head"
-        )
-    sentinel, version, meta_len = _PAYLOAD_HEAD_STRUCT.unpack_from(payload, 0)
-    if sentinel != PAYLOAD_SENTINEL:
-        raise ArchiveFormatError("payload is not subband-major (no sentinel)")
-    if version != PAYLOAD_VERSION:
-        raise ArchiveFormatError(
-            f"subband-major payload version {version} is not supported "
-            f"(expected {PAYLOAD_VERSION})"
-        )
-    meta = payload[PAYLOAD_HEAD_SIZE : PAYLOAD_HEAD_SIZE + meta_len]
+    sectioned, meta_start, meta_len = _parse_head(payload)
+    meta = payload[meta_start : meta_start + meta_len]
     meta_complete = len(meta) == meta_len
-    body_offset = PAYLOAD_HEAD_SIZE + meta_len + 4
-    if meta_complete:
-        if len(payload) < body_offset:
-            raise TruncatedArchiveError(
-                "frame payload ends inside its section-table checksum"
-            )
-        (stored_crc,) = struct.unpack_from("<I", payload, PAYLOAD_HEAD_SIZE + meta_len)
-        if stored_crc != crc32(bytes(meta)):
-            raise ArchiveIntegrityError("section table checksum mismatch")
+    body_offset = meta_start + meta_len
+    if sectioned:
+        body_offset += 4
+        if meta_complete:
+            if len(payload) < body_offset:
+                raise TruncatedArchiveError(
+                    "frame payload ends inside its section-table checksum"
+                )
+            (stored_crc,) = struct.unpack_from("<I", payload, meta_start + meta_len)
+            if stored_crc != crc32(bytes(meta)):
+                raise ArchiveIntegrityError("section table checksum mismatch")
+    elif not meta_complete:
+        raise ArchiveFormatError(
+            f"frame payload declares a {meta_len}-byte meta block but only "
+            f"{len(meta)} bytes follow"
+        )
     reader = BitReader(meta)
-    # On a truncated meta block the parse below runs against the partial
-    # bytes on purpose: the EOF then names the exact descriptor the payload
-    # ends in, which is the error the truncation sweep asserts.
+    # On a truncated (subband-major) meta block the parse below runs
+    # against the partial bytes on purpose: the EOF then names the exact
+    # descriptor the payload ends in, which the truncation sweep asserts.
     try:
         codec_id = reader.read_uint(8)
         family = get_family(codec_name_for_id(codec_id, "frame payload"))
@@ -501,15 +595,14 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
         raise ArchiveFormatError("frame payload meta block is malformed") from exc
     sections: List[PayloadSection] = []
     offset = body_offset
+    descriptor = _descriptor_struct(family.uses_bank, sectioned)
+    at = len(meta) - reader.bits_remaining // 8
     for index in range(count):
         try:
-            kind = KINDS_BY_ID[reader.read_uint(8)]
-            scale = reader.read_uint(8)
-            section_shape = (reader.read_uint(32), reader.read_uint(32))
-            use_rle = bool(reader.read_uint(8)) if family.uses_bank else False
-            payload_len = reader.read_uint(32)
-            run_len = reader.read_uint(32) if family.uses_bank else 0
-            section_crc = reader.read_uint(32)
+            if at + descriptor.size > len(meta):
+                raise EOFError("section table exhausted")
+            kind_id, scale, height, width, *rest = descriptor.unpack_from(meta, at)
+            kind = KINDS_BY_ID[kind_id]
         except (EOFError, KeyError) as exc:
             if not meta_complete:
                 raise TruncatedArchiveError(
@@ -520,13 +613,16 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
                 f"frame payload meta block is malformed at section "
                 f"descriptor {index} of {count}"
             ) from exc
+        at += descriptor.size
+        section_crc = rest.pop() if sectioned else None
+        use_rle, payload_len, run_len = rest if family.uses_bank else (0, rest[0], 0)
         sections.append(
             PayloadSection(
                 index=index,
                 kind=kind,
                 scale=scale,
-                shape=section_shape,
-                use_rle=use_rle,
+                shape=(height, width),
+                use_rle=bool(use_rle),
                 payload_len=payload_len,
                 run_len=run_len,
                 crc32=section_crc,
@@ -543,13 +639,16 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
             if count
             else "frame payload ends inside its section table"
         )
-    order = [(-s.scale, KIND_IDS[s.kind]) for s in sections]
-    if order != sorted(order):
-        raise ArchiveFormatError(
-            "subband-major sections are not coarsest-first; the prefix "
-            "property does not hold for this payload"
-        )
+    if sectioned:
+        order = [(-s.scale, KIND_IDS[s.kind]) for s in sections]
+        if order != sorted(order):
+            raise ArchiveFormatError(
+                "subband-major sections are not coarsest-first; the prefix "
+                "property does not hold for this payload"
+            )
+    _check_geometry(sections, scales, shape)
     return SectionTable(
+        layout=LAYOUT_SUBBAND_MAJOR if sectioned else LAYOUT_FRAME_MAJOR,
         codec=family.name,
         scales=scales,
         image_shape=shape,
@@ -569,26 +668,15 @@ def sections_to_stream(
     """Build a (possibly partial) stream from section bytes.
 
     ``body`` holds the payload's bytes from :attr:`SectionTable.body_offset`
-    on — at least through the last section a scale-``at_scale`` preview
-    needs — as stored, so slicing stays zero-copy on ``memoryview`` input.
-    With ``verify`` each consumed section is checked against its own CRC,
-    making a prefix read trustworthy without the whole-payload checksum.
+    on — at least through the last section the stream needs — as stored,
+    so slicing stays zero-copy on ``memoryview`` input.  ``at_scale=0``
+    takes every section; a higher scale takes just that preview's prefix
+    (:meth:`SectionTable.prefix_sections`).  With
+    ``verify`` each consumed section that carries a CRC is checked against
+    it, making a prefix read trustworthy without the whole-payload checksum.
     """
-    needed = table.prefix_sections(at_scale)
-    if table.bank_name:
-        stream: CompressedStream = CompressedImage(
-            bank_name=table.bank_name,
-            scales=table.scales,
-            image_shape=table.image_shape,
-            bit_depth=table.bit_depth,
-        )
-    else:
-        stream = CompressedSImage(
-            scales=table.scales,
-            image_shape=table.image_shape,
-            bit_depth=table.bit_depth,
-        )
-    for section in needed:
+    rows: List[SubbandChunk] = []
+    for section in table.prefix_sections(at_scale):
         start = section.offset - table.body_offset
         data = body[start : start + section.length]
         if len(data) != section.length:
@@ -596,28 +684,25 @@ def sections_to_stream(
                 f"frame payload ends inside section {section.index} "
                 f"({section.kind}@{section.scale}, {section.length} bytes)"
             )
-        if verify and zlib.crc32(data) & 0xFFFFFFFF != section.crc32:
+        if (
+            verify
+            and section.crc32 is not None
+            and zlib.crc32(data) & 0xFFFFFFFF != section.crc32
+        ):
             raise ArchiveIntegrityError(
                 f"section {section.index} ({section.kind}@{section.scale}) "
                 "checksum mismatch"
             )
-        literal = data[: section.payload_len]
-        runs = data[section.payload_len :]
-        if isinstance(stream, CompressedImage):
-            stream.chunks.append(
-                SubbandChunk(
-                    kind=section.kind,
-                    scale=section.scale,
-                    shape=section.shape,
-                    use_rle=section.use_rle,
-                    payload=literal,
-                    run_payload=runs,
-                )
-            )
-        else:
-            stream.chunks[(section.kind, section.scale)] = literal
-            stream.shapes[(section.kind, section.scale)] = section.shape
-    return stream
+        rows.append(SubbandChunk(
+            section.kind,
+            section.scale,
+            section.shape,
+            section.use_rle,
+            data[: section.payload_len],
+            data[section.payload_len :],
+        ))
+    header = (table.bank_name, table.scales, table.image_shape, table.bit_depth)
+    return _rows_stream(header, rows)
 
 
 def deserialize_prefix(
@@ -652,111 +737,27 @@ def deserialize_stream_with_spec(payload: Payload) -> Tuple[CompressedStream, Co
     copied — the returned stream's chunk payloads are sub-views of it, so
     they remain valid only as long as the view's backing store does
     (the reader holds its mapping open until :meth:`ArchiveReader.close`).
-    Both layouts are accepted: version-1 frame-major payloads parse exactly
-    as before, and subband-major payloads are recognised by their sentinel
-    and parsed through the section table (every section CRC-verified).
+    Both layouts go the same way: section table, length check, sections
+    (every subband-major section CRC-verified).
     """
-    if is_subband_major(payload):
-        table = parse_section_table(payload)
-        if table.payload_length != len(payload):
-            if table.payload_length > len(payload):
-                raise TruncatedArchiveError(
-                    f"frame payload declares {table.payload_length} bytes of "
-                    f"sections but holds {len(payload)}"
-                )
-            raise ArchiveFormatError(
-                f"frame payload has {len(payload) - table.payload_length} "
-                "trailing bytes after the declared sections"
+    table = parse_section_table(payload)
+    if table.payload_length != len(payload):
+        if table.payload_length > len(payload):
+            short = (
+                TruncatedArchiveError
+                if table.layout == LAYOUT_SUBBAND_MAJOR
+                else ArchiveFormatError
             )
-        stream = sections_to_stream(table, payload[table.body_offset :])
-        return stream, table.spec()
-    return _deserialize_frame_major(payload)
-
-
-def _deserialize_frame_major(payload: Payload) -> Tuple[CompressedStream, CodecSpec]:
-    """The version-1 monolithic parse (unchanged from container v1)."""
-    if len(payload) < 4:
-        raise ArchiveFormatError("frame payload shorter than its length prefix")
-    (meta_len,) = struct.unpack_from("<I", payload, 0)
-    meta = payload[4 : 4 + meta_len]
-    if len(meta) != meta_len:
+            raise short(
+                f"frame payload declares {table.payload_length} bytes of "
+                f"sections but holds {len(payload)}"
+            )
         raise ArchiveFormatError(
-            f"frame payload declares a {meta_len}-byte meta block but only "
-            f"{len(meta)} bytes follow"
+            f"frame payload has {len(payload) - table.payload_length} "
+            "trailing bytes after the declared sections"
         )
-    reader = BitReader(meta)
-    try:
-        codec_id = reader.read_uint(8)
-        family = get_family(codec_name_for_id(codec_id, "frame payload"))
-        scales = reader.read_uint(8)
-        shape = (reader.read_uint(32), reader.read_uint(32))
-        bit_depth = reader.read_uint(8)
-        position = 4 + meta_len
-
-        def take(length: int) -> Payload:
-            # Slicing keeps the input's form: bytes stay bytes, views stay
-            # views (zero-copy into the backend's mapping).
-            nonlocal position
-            data = payload[position : position + length]
-            if len(data) != length:
-                raise ArchiveFormatError(
-                    f"frame payload ends inside a {length}-byte chunk"
-                )
-            position += length
-            return data
-
-        if family.uses_bank:
-            bank_name = _read_ascii(reader)
-            _check_plan(reader, bank_name, scales)
-            stream: CompressedStream = CompressedImage(
-                bank_name=bank_name,
-                scales=scales,
-                image_shape=shape,
-                bit_depth=bit_depth,
-            )
-            for _ in range(reader.read_uint(16)):
-                kind = KINDS_BY_ID[reader.read_uint(8)]
-                chunk_scale = reader.read_uint(8)
-                chunk_shape = (reader.read_uint(32), reader.read_uint(32))
-                use_rle = bool(reader.read_uint(8))
-                payload_len = reader.read_uint(32)
-                run_len = reader.read_uint(32)
-                stream.chunks.append(
-                    SubbandChunk(
-                        kind=kind,
-                        scale=chunk_scale,
-                        shape=chunk_shape,
-                        use_rle=use_rle,
-                        payload=take(payload_len),
-                        run_payload=take(run_len),
-                    )
-                )
-        else:
-            stream = CompressedSImage(
-                scales=scales, image_shape=shape, bit_depth=bit_depth
-            )
-            for _ in range(reader.read_uint(16)):
-                kind = KINDS_BY_ID[reader.read_uint(8)]
-                chunk_scale = reader.read_uint(8)
-                chunk_shape = (reader.read_uint(32), reader.read_uint(32))
-                payload_len = reader.read_uint(32)
-                stream.chunks[(kind, chunk_scale)] = take(payload_len)
-                stream.shapes[(kind, chunk_scale)] = chunk_shape
-    except (EOFError, KeyError) as exc:
-        raise ArchiveFormatError("frame payload meta block is malformed") from exc
-    if position != len(payload):
-        raise ArchiveFormatError(
-            f"frame payload has {len(payload) - position} trailing bytes after "
-            "the declared chunks"
-        )
-    try:
-        spec = spec_for_stream(stream)
-    except (ValueError, TypeError) as exc:
-        raise ArchiveFormatError(
-            f"frame payload metadata does not form a valid codec "
-            f"configuration ({exc})"
-        ) from exc
-    return stream, spec
+    stream = sections_to_stream(table, payload[table.body_offset :])
+    return stream, table.spec()
 
 
 def materialize_stream(stream: CompressedStream) -> CompressedStream:
@@ -768,21 +769,18 @@ def materialize_stream(stream: CompressedStream) -> CompressedStream:
     views into ``bytes`` **in place** and returns the stream; byte-backed
     streams pass through untouched, so it is free on the copying path.
     """
-    if isinstance(stream, CompressedImage):
-        stream.chunks[:] = [
-            chunk
-            if isinstance(chunk.payload, bytes) and isinstance(chunk.run_payload, bytes)
-            else _dc_replace(
-                chunk,
-                payload=bytes(chunk.payload),
-                run_payload=bytes(chunk.run_payload),
-            )
-            for chunk in stream.chunks
-        ]
-    else:
-        for key, data in stream.chunks.items():
-            if not isinstance(data, bytes):
-                stream.chunks[key] = bytes(data)
+    header, rows = _stream_rows(stream)
+    if not all(
+        isinstance(row.payload, bytes) and isinstance(row.run_payload, bytes)
+        for row in rows
+    ):
+        stream.chunks = _rows_stream(
+            header,
+            [
+                replace(row, payload=bytes(row.payload), run_payload=bytes(row.run_payload))
+                for row in rows
+            ],
+        ).chunks
     return stream
 
 
@@ -796,56 +794,12 @@ def payload_spec(payload: Payload) -> CodecSpec:
     """Recover just the :class:`CodecSpec` from a payload's meta block.
 
     A triage entry point: answers "what configuration wrote these bytes"
-    by parsing only the meta block — chunk *descriptors* are read for the
-    RLE policy but the entropy-coded chunk bytes are never touched or
-    validated, so this works even when the payload's chunk region is
-    truncated (the common damage mode the sharded verify isolates).  On a
-    subband-major payload the section table answers directly (word-length
-    plan validation skipped, same as the v1 triage path); a payload cut
-    inside the table raises :class:`TruncatedArchiveError` naming the
-    section descriptor, never a raw struct/EOF error.
+    by parsing only the section table (word-length plan validation
+    skipped) — the entropy-coded section bytes are never touched or
+    validated, so this works even when the payload's section region is
+    truncated (the common damage mode the sharded verify isolates).  A
+    subband-major payload cut inside the table raises
+    :class:`TruncatedArchiveError` naming the section descriptor, never a
+    raw struct/EOF error.
     """
-    if is_subband_major(payload):
-        return parse_section_table(payload, check_plan=False).spec()
-    if len(payload) < 4:
-        raise ArchiveFormatError("frame payload shorter than its length prefix")
-    (meta_len,) = struct.unpack_from("<I", payload, 0)
-    meta = payload[4 : 4 + meta_len]
-    if len(meta) != meta_len:
-        raise ArchiveFormatError(
-            f"frame payload declares a {meta_len}-byte meta block but only "
-            f"{len(meta)} bytes follow"
-        )
-    reader = BitReader(meta)
-    try:
-        codec_id = reader.read_uint(8)
-        family = get_family(codec_name_for_id(codec_id, "frame payload"))
-        scales = reader.read_uint(8)
-        reader.read_uint(32), reader.read_uint(32)  # geometry, not part of the spec
-        bit_depth = reader.read_uint(8)
-        if not family.uses_bank:
-            return CodecSpec(codec=family.name, scales=scales, bit_depth=bit_depth)
-        bank_name = _read_ascii(reader)
-        # Skip the stored word-length plan (word length, accumulator,
-        # per-scale integer bits) — triage must not require it to validate.
-        for _ in range(2 + scales):
-            reader.read_uint(8)
-        use_rle = False
-        for _ in range(reader.read_uint(16)):
-            reader.read_uint(8), reader.read_uint(8)  # kind, scale
-            reader.read_uint(32), reader.read_uint(32)  # shape
-            use_rle = bool(reader.read_uint(8)) or use_rle
-            reader.read_uint(32), reader.read_uint(32)  # payload/run lengths
-        return CodecSpec(
-            codec=family.name,
-            scales=scales,
-            bit_depth=bit_depth,
-            bank=bank_name,
-            use_rle=use_rle,
-        )
-    except (EOFError, KeyError) as exc:
-        raise ArchiveFormatError("frame payload meta block is malformed") from exc
-    except (ValueError, TypeError) as exc:
-        raise ArchiveFormatError(
-            f"frame payload metadata does not form a valid codec configuration ({exc})"
-        ) from exc
+    return parse_section_table(payload, check_plan=False).spec()

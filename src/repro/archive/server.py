@@ -795,22 +795,8 @@ class ArchiveService:
         return await self._submit(self._route(name), work)
 
     def _entry_record(self, entry: FrameInfo) -> Dict[str, object]:
-        record = {
-            "name": entry.name,
-            "index": entry.index,
-            "codec": entry.codec,
-            "scales": entry.scales,
-            "bit_depth": entry.bit_depth,
-            "shape": list(entry.shape),
-            "bank": entry.bank_name,
-            "use_rle": entry.use_rle,
-            "layout": entry.layout,
-            "offset": entry.offset,
-            "stored_bytes": entry.length,
-            "raw_bytes": entry.raw_bytes,
-            "crc32": f"{entry.crc32:08x}",
-            "spec": frame_spec(entry).to_dict(),
-        }
+        record = entry.record()
+        record["spec"] = frame_spec(entry).to_dict()
         if self.sharded:
             record["shard"] = self._route(entry.name)
         return record

@@ -82,6 +82,7 @@ __all__ = [
     "make_router",
     "router_for_manifest",
     "shard_file_names",
+    "shard_replica_names",
     "write_manifest",
     "is_sharded",
     "open_archive",
@@ -178,6 +179,21 @@ def shard_file_names(manifest_path: PathLike, shard_count: int) -> List[str]:
     """Default shard file names for a manifest: ``<stem>.shard<i>.dwta``."""
     stem = Path(manifest_path).stem
     return [f"{stem}.shard{i:03d}.dwta" for i in range(shard_count)]
+
+
+def shard_replica_names(
+    manifest_path: PathLike, shard_count: int, replicas: int
+) -> Tuple[Tuple[str, ...], ...]:
+    """Default replica file names: ``<stem>.shard<i>.r<j>.dwta``.
+
+    One tuple per shard, ``replicas`` names each, mirroring
+    :func:`shard_file_names` for the primaries.
+    """
+    stem = Path(manifest_path).stem
+    return tuple(
+        tuple(f"{stem}.shard{i:03d}.r{j}.dwta" for j in range(replicas))
+        for i in range(shard_count)
+    )
 
 
 def write_manifest(path: PathLike, manifest: ShardManifest) -> None:
@@ -304,6 +320,30 @@ def _verify_copy_worker(
 # Writer
 # ---------------------------------------------------------------------------
 
+class _FanOutWriter:
+    """One shard's write fan-out over its copies, primary first.
+
+    Duck-types the slice of :class:`~repro.archive.writer.ArchiveWriter`
+    the set writer uses (``add_stream``/``add_batch``/``close``), applying
+    every mutation to each copy in order and reporting the primary's index
+    entries.  All copies see identical streams against identical starting
+    bytes, so they stay byte-identical.
+    """
+
+    def __init__(self, writers: List[ArchiveWriter]) -> None:
+        self.writers = writers
+
+    def add_stream(self, stream: CompressedStream, name: str) -> FrameInfo:
+        return [writer.add_stream(stream, name) for writer in self.writers][0]
+
+    def add_batch(self, batch: CompressedBatch, names: Sequence[str]) -> List[FrameInfo]:
+        return [writer.add_batch(batch, names=names) for writer in self.writers][0]
+
+    def close(self) -> None:
+        for writer in self.writers:
+            writer.close()
+
+
 class ShardedArchiveWriter:
     """Writes a sharded archive set; use :meth:`create` or :meth:`append`.
 
@@ -344,7 +384,7 @@ class ShardedArchiveWriter:
         self.shard_paths: List[Path] = [
             self.path.parent / name for name in manifest.shard_names
         ]
-        self._writers: Dict[int, ArchiveWriter] = {}
+        self._writers: Dict[int, _FanOutWriter] = {}
         self._names = names
         self._total = total
         self._closed = False
@@ -375,6 +415,28 @@ class ShardedArchiveWriter:
         map; a placed manifest is stamped version 3, an unplaced one keeps
         its version-2 bytes (see :mod:`repro.archive.placement`).
         """
+        return cls._create(
+            path, shards, replicas=0, router=router, boundaries=boundaries, spec=spec,
+            overwrite=overwrite, workers=workers, layout=layout, placement=placement,
+        )
+
+    @classmethod
+    def _create(
+        cls,
+        path: PathLike,
+        shards: int,
+        replicas: int,
+        router: str,
+        boundaries: Sequence[str],
+        spec: Optional[CodecSpec],
+        overwrite: bool,
+        workers,
+        layout: str,
+        placement: PlacementLike,
+    ) -> "ShardedArchiveWriter":
+        """Build the manifest of a new set — ``replicas`` extra copies per
+        shard, 0 for none — and materialise every container (primaries and
+        replicas) plus the crash-safely written manifest."""
         if layout not in LAYOUTS:
             raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
         spec = spec_or_default(spec)
@@ -391,22 +453,10 @@ class ShardedArchiveWriter:
             shard_names=shard_names,
             spec_json=spec.to_json(),
             boundaries=tuple(boundaries),
+            replica_names=shard_replica_names(path, shards, replicas) if replicas else (),
             layout=layout,
             node_ids=node_ids,
         )
-        return cls._init_set(path, manifest, spec, overwrite, workers)
-
-    @classmethod
-    def _init_set(
-        cls,
-        path: Path,
-        manifest: ShardManifest,
-        spec: CodecSpec,
-        overwrite: bool,
-        workers: int,
-    ) -> "ShardedArchiveWriter":
-        """Materialise a new set: every container (primaries and replicas)
-        plus the crash-safely written manifest."""
         router_for_manifest(manifest)  # validate router/boundaries up front
         # Every container is born a valid (empty, finalised) archive, so the
         # set is complete and readable from the instant the manifest lands.
@@ -463,11 +513,19 @@ class ShardedArchiveWriter:
         """Names of every frame stored in the set so far."""
         return sorted(self._names)
 
-    def _writer(self, shard: int) -> ArchiveWriter:
+    def _writer(self, shard: int) -> _FanOutWriter:
+        """The shard's fan-out over every copy the manifest names (primary
+        first; an unreplicated set has one), so every append —
+        ``add_stream`` or ``append_batch``, whichever transport compressed
+        the batch — reaches every copy."""
         if shard not in self._writers:
-            self._writers[shard] = ArchiveWriter.append(
-                self.shard_paths[shard], spec=self.spec, layout=self.manifest.layout
-            )
+            copies = [
+                ArchiveWriter.append(
+                    self.path.parent / name, spec=self.spec, layout=self.manifest.layout
+                )
+                for name in self.manifest.copies(shard)
+            ]
+            self._writers[shard] = _FanOutWriter(copies)
         return self._writers[shard]
 
     def _resolve_names(

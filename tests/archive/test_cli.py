@@ -38,6 +38,10 @@ def test_pack_list_extract_verify(tmp_path, pgm_dir, capsys):
     records = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in records] == ["scan_0", "scan_1", "scan_2"]
     assert records[0]["bit_depth"] == 12
+    assert set(records[0]) == {
+        "index", "name", "codec", "scales", "bit_depth", "shape", "bank",
+        "use_rle", "offset", "stored_bytes", "raw_bytes", "crc32", "layout",
+    }
 
     extracted = tmp_path / "scan_1_out.pgm"
     assert main(["extract", str(archive), "scan_1", "-o", str(extracted)]) == 0

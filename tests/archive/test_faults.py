@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.archive import (
+    ArchiveFormatError,
     ArchiveIntegrityError,
     ArchiveReader,
     ArchiveWriter,
@@ -476,4 +477,30 @@ class TestSubbandMajorTruncationSweep:
         )
         with ArchiveReader(backend) as reader:
             with pytest.raises(TruncatedArchiveError, match="section table"):
+                reader.read_preview("frame", 2)
+
+    def test_reader_refuses_a_head_without_its_sentinel(self, tmp_path):
+        """A subband-major entry whose payload head lost its sentinel (here
+        zeroed, so the head reads as a frame-major ``meta_len`` of 0) is a
+        format error, never a negative-length slice request."""
+        from repro.archive import LAYOUT_SUBBAND_MAJOR
+        from repro.imaging import shepp_logan
+
+        path = tmp_path / "prog.dwta"
+        with ArchiveWriter.create(
+            path,
+            spec=CodecSpec(scales=3),
+            layout=LAYOUT_SUBBAND_MAJOR,
+        ) as writer:
+            writer.append_batch([shepp_logan(64)], names=["frame"])
+        with ArchiveReader(path) as clean:
+            entry = clean.find("frame")
+        backend = FaultInjectionBackend(
+            FileBackend(path),
+            faults=tuple(
+                Fault(kind="bit-flip", offset=entry.offset + i, mask=0xFF) for i in range(4)
+            ),
+        )
+        with ArchiveReader(backend) as reader:
+            with pytest.raises(ArchiveFormatError):
                 reader.read_preview("frame", 2)

@@ -16,6 +16,7 @@ Three layers of the tentpole property under test:
 """
 
 import asyncio
+import dataclasses
 import json
 import struct
 
@@ -330,6 +331,18 @@ class TestReaderProgressive:
                 reader.read_preview("frame", SCALES + 1)
             with pytest.raises(ValueError, match="at_scale"):
                 reader.read_preview("frame", -1)
+
+    def test_payload_disagreeing_with_its_entry_raises(self, archive):
+        """Full and preview reads refuse a payload whose geometry is not
+        the one its index entry declares."""
+        path, _ = archive
+        with ArchiveReader(path) as reader:
+            entry = reader.find("frame")
+            wrong = dataclasses.replace(entry, shape=(entry.shape[0] * 2, entry.shape[1]))
+            with pytest.raises(ArchiveFormatError, match="disagrees with its index entry"):
+                reader.read_stream(wrong)
+            with pytest.raises(ArchiveFormatError, match="disagrees with its index entry"):
+                reader.read_preview_stream(wrong, 2)
 
     def test_roi_matches_the_full_decode_rows(self, archive):
         path, image = archive

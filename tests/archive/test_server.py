@@ -135,6 +135,11 @@ class TestMetaAndManifest:
                 assert meta["spec"]["scales"] == entry.scales
                 if kind != "plain":
                     assert isinstance(meta["shard"], int)
+                assert set(meta) == {
+                    "index", "name", "codec", "scales", "bit_depth", "shape", "bank",
+                    "use_rle", "offset", "stored_bytes", "raw_bytes", "crc32", "layout",
+                    "spec", *(["shard"] if kind != "plain" else []),
+                }
 
         run(scenario())
 

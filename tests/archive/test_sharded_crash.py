@@ -124,8 +124,9 @@ class TestInterruptedAppend:
             ct_slice_series(count=3, size=32, seed=11),
             names=["doomed_0", "doomed_1", "doomed_2"],
         )
-        for shard_writer in writer._writers.values():
-            shard_writer._fh.flush()  # payloads hit disk, headers untouched
+        for fan_out in writer._writers.values():
+            for shard_writer in fan_out.writers:
+                shard_writer._fh.flush()  # payloads hit disk, headers untouched
 
         with ShardedArchiveReader(path) as reader:
             assert reader.names() == names_for(9)  # the append never happened
