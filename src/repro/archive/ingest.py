@@ -111,6 +111,33 @@ def ingest_frames(writer, feed: Iterable[FeedItem], queue_depth: int = 4) -> Ing
     return asyncio.run(ingest_async(writer, feed, queue_depth=queue_depth))
 
 
+def _archive(writer, name, frame, spec, resources, stats) -> None:
+    """Compress one frame and append it: the consumer's per-frame work."""
+    writer.add_stream(encode_frame(frame, spec, resources, stats), name)
+
+
+async def _to_thread_to_end(fn, *args) -> None:
+    """``await asyncio.to_thread(fn, *args)`` that, when cancelled, still
+    waits for ``fn`` to return before re-raising.
+
+    A thread cannot be stopped, and ``fn`` here is an append: a caller that
+    closes the writer as soon as the cancellation reaches it must not find
+    the append still writing behind its back.
+    """
+    job = asyncio.ensure_future(asyncio.to_thread(fn, *args))
+    cancelled = None
+    while not job.done():
+        try:
+            await asyncio.shield(job)
+        except asyncio.CancelledError as exc:
+            if job.cancelled():
+                raise
+            cancelled = exc
+    if cancelled is not None:
+        raise cancelled
+    job.result()
+
+
 async def ingest_async(
     writer,
     feed: Union[Iterable[FeedItem], AsyncIterable[FeedItem]],
@@ -127,7 +154,12 @@ async def ingest_async(
     socket — stays off the event loop) or an async iterator (e.g. frames
     arriving over the network).  A producer task takes a permit *before*
     pulling each item and the consumer returns it only once that item's
-    stream is archived; compression runs via ``asyncio.to_thread``.
+    stream is archived.  Compression and the append run together in a
+    worker thread (``asyncio.to_thread``), one frame at a time, so the
+    writer sees the feed's order and the event loop stays free for other
+    work (a server's GETs) while a frame is coded and written.  Cancelling
+    the call waits for an append already in its thread to return, so the
+    caller may close the writer as soon as the cancellation arrives.
 
     A feed or codec error stops both sides and re-raises here — frames
     fully archived before the error stay archived (the writer finalises
@@ -168,8 +200,7 @@ async def ingest_async(
     try:
         while (item := await handoff.get()) is not done:
             name, frame = _split_item(item)
-            stream = await asyncio.to_thread(encode_frame, frame, spec, resources, stats)
-            writer.add_stream(stream, name)
+            await _to_thread_to_end(_archive, writer, name, frame, spec, resources, stats)
             frames += 1
             in_flight -= 1
             permits.release()

@@ -150,8 +150,8 @@ def _descriptor_struct(uses_bank: bool, sectioned: bool) -> struct.Struct:
     """One section descriptor as the meta block stores it: kind u8, scale
     u8, shape 2 x u32, ``use_rle`` u8 (bank codecs only), payload length
     u32, run length u32 (bank codecs only), CRC u32 (subband-major only).
-    Big-endian, because :class:`BitWriter` packs MSB first and every field
-    is whole bytes."""
+    Big-endian whole bytes — what the MSB-first :class:`BitWriter` that
+    writes the prologue ahead of the descriptors also produces."""
     return struct.Struct(
         ">BBII" + ("BII" if uses_bank else "I") + ("I" if sectioned else "")
     )
@@ -395,25 +395,23 @@ def serialize_stream(
         for bits in plan.integer_bits():
             writer.write_uint(bits, 8)
     writer.write_uint(len(rows), 16)
+    descriptor = _descriptor_struct(family.uses_bank, sectioned)
+    descriptors: List[bytes] = []
     body: List[Payload] = []
     for row in rows:
-        writer.write_uint(KIND_IDS[row.kind], 8)
-        writer.write_uint(row.scale, 8)
-        writer.write_uint(row.shape[0], 32)
-        writer.write_uint(row.shape[1], 32)
+        fields = [KIND_IDS[row.kind], row.scale, *row.shape]
         if family.uses_bank:
-            writer.write_uint(1 if row.use_rle else 0, 8)
-        writer.write_uint(len(row.payload), 32)
-        if family.uses_bank:
-            writer.write_uint(len(row.run_payload), 32)
+            fields += [1 if row.use_rle else 0, len(row.payload), len(row.run_payload)]
+        else:
+            fields.append(len(row.payload))
         if sectioned:
             # Per-section CRC over the section's bytes exactly as stored
             # (literal payload then run payload) — a prefix read verifies
             # each section it takes without the whole-payload checksum.
-            crc = zlib.crc32(row.run_payload, zlib.crc32(row.payload))
-            writer.write_uint(crc & 0xFFFFFFFF, 32)
+            fields.append(zlib.crc32(row.run_payload, zlib.crc32(row.payload)))
+        descriptors.append(descriptor.pack(*fields))
         body += (row.payload, row.run_payload)
-    meta = writer.getvalue()
+    meta = writer.getvalue() + b"".join(descriptors)
     if sectioned:
         head = _PAYLOAD_HEAD_STRUCT.pack(PAYLOAD_SENTINEL, PAYLOAD_VERSION, len(meta))
         tail = struct.pack("<I", crc32(meta))

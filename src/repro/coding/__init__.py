@@ -65,7 +65,6 @@ from .mapper import flatten_pyramid, pyramid_scan, zigzag_decode, zigzag_encode
 from .rice import (
     optimal_rice_parameter,
     rice_code_length,
-    rice_cost_matrix,
     rice_decode,
     rice_decode_array,
     rice_decode_scalar,
@@ -131,7 +130,6 @@ __all__ = [
     "zigzag_encode",
     "optimal_rice_parameter",
     "rice_code_length",
-    "rice_cost_matrix",
     "rice_decode",
     "rice_decode_array",
     "rice_decode_scalar",

@@ -9,11 +9,16 @@ versa.
 
 Representation
 --------------
-A stream under construction is a ``uint8`` array holding one bit per element
-(0 or 1, MSB-first order).  Values are expanded into that array with uint64
-shift/or arithmetic (``pack_uint_fields``), and the finished stream is flushed
-to bytes in one :func:`numpy.packbits` call — which also zero-pads the final
-byte exactly like ``BitWriter.getvalue``.
+Two encoder forms share the MSB-first, zero-padded framing of
+``BitWriter.getvalue``:
+
+* a ``uint8`` array holding one bit per element, filled with uint64
+  shift/or arithmetic (``pack_uint_fields``) and flushed to bytes in one
+  :func:`numpy.packbits` call;
+* :func:`pack_codes`, which ORs whole variable-length codes into ``uint64``
+  words at their bit offsets and never materialises per-bit arrays — the
+  software form of a hardware width converter that packs narrow symbols
+  into fixed wide words.
 
 Sequential decoding without Python loops
 ----------------------------------------
@@ -29,15 +34,31 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "as_symbol_array",
     "pack_bits",
     "unpack_bits",
     "ragged_arange",
     "pack_uint_fields",
+    "pack_codes",
     "read_uint",
     "read_uints",
     "bit_windows64",
     "orbit",
 ]
+
+
+def as_symbol_array(symbols) -> np.ndarray:
+    """Coerce a symbol block to flat ``int64`` without per-element Python loops.
+
+    Floating and complex blocks raise :class:`TypeError`: casting them would
+    drop their fractional parts, and a lossless coder must not lose data
+    without a word.
+    """
+    if not isinstance(symbols, np.ndarray):
+        symbols = np.asarray(symbols if isinstance(symbols, (list, tuple)) else list(symbols))
+    if symbols.size and symbols.dtype.kind in "fc":
+        raise TypeError(f"entropy coders encode integers, not {symbols.dtype} values")
+    return symbols.astype(np.int64, copy=False).ravel()
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -92,6 +113,68 @@ def pack_uint_fields(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return (
         (values[field].astype(np.uint64) >> shift.astype(np.uint64)) & np.uint64(1)
     ).astype(np.uint8)
+
+
+_ONE = np.uint64(1)
+_LOW6 = np.uint64(63)
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> bytes:
+    """Concatenate variable-length codes MSB-first; zero-pads the last byte.
+
+    ``codes[i]`` holds the last ``min(lengths[i], 64)`` bits of code ``i``,
+    right-aligned in a ``uint64`` (higher bits zero).  A code longer than 64
+    bits is ``lengths[i] - 64`` one bits followed by ``codes[i]`` — the unary
+    prefix of a Rice/Golomb code.  Both arrays are ``uint64``; every length
+    is at least 1.
+
+    Each code ends at a known bit, so it lands in the word holding that bit
+    shifted into place; codes sharing a word have disjoint bits and one
+    ``bitwise_or.reduceat`` combines them.  Only the first code of each word
+    can begin in the word before, so one OR per word carries those spills.
+    The ones ahead of codes longer than 64 bits are set by a masked pass over
+    just those codes.  Byte-identical to writing the same codes through
+    :class:`~repro.coding.bitstream.BitWriter`.
+    """
+    if codes.size == 0:
+        return b""
+    last_bit = np.cumsum(lengths)
+    nbits = int(last_bit[-1])
+    last_bit -= _ONE
+    words = np.zeros(-(-nbits // 64), dtype=np.uint64)
+    index = (last_bit >> np.uint64(6)).view(np.int64)
+    heads = np.flatnonzero(index[1:] != index[:-1]) + 1
+    heads = np.insert(heads, 0, 0)
+    words[index[heads]] = np.bitwise_or.reduceat(
+        codes << (~last_bit & _LOW6), heads
+    )
+    # A head in word 0 is the stream's first code and starts at bit 0: its
+    # spill, ORed into word -1 (the last word), is 0.
+    words[index[heads] - 1] |= (codes[heads] >> _ONE) >> (last_bit[heads] & _LOW6)
+    if int(lengths.max()) > 64:
+        long_codes = np.flatnonzero(lengths > np.uint64(64))
+        stops = last_bit[long_codes].view(np.int64) - 63
+        _set_ones(words, stops - (lengths[long_codes].view(np.int64) - 64), stops)
+    return words.astype(">u8").tobytes()[: -(-nbits // 8)]
+
+
+def _set_ones(words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
+    """OR the bit runs ``[starts[i], stops[i])`` into ``words``.
+
+    The runs must touch pairwise distinct words, which holds for the unary
+    prefixes of :func:`pack_codes`: each is followed by a 64-bit code tail.
+    """
+    first = starts >> 6
+    spans = ((stops - 1) >> 6) - first + 1
+    word = ragged_arange(spans) + np.repeat(first, spans)
+    low = np.repeat(starts, spans) - (word << 6)
+    high = np.repeat(stops, spans) - (word << 6)
+    # NumPy shifts by 64 or more give 0, so a run that reaches the end of a
+    # word (high == 64) keeps every bit from ``low`` on.
+    words[word] |= (_ALL_ONES >> np.maximum(low, 0).astype(np.uint64)) & ~(
+        _ALL_ONES >> np.minimum(high, 64).astype(np.uint64)
+    )
 
 
 def read_uint(bits: np.ndarray, offset: int, width: int) -> int:

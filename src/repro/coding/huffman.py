@@ -33,6 +33,7 @@ import numpy as np
 
 from .bitstream import BitReader, BitWriter
 from .fastbits import (
+    as_symbol_array,
     bit_windows64,
     orbit,
     pack_bits,
@@ -50,14 +51,6 @@ __all__ = [
     "huffman_encode_scalar",
     "huffman_decode_scalar",
 ]
-
-
-def _as_symbol_array(symbols) -> np.ndarray:
-    if isinstance(symbols, np.ndarray):
-        return symbols.astype(np.int64, copy=False).ravel()
-    if isinstance(symbols, (list, tuple)):
-        return np.asarray(symbols, dtype=np.int64)
-    return np.asarray(list(symbols), dtype=np.int64)
 
 
 def build_code_lengths(frequencies: Dict[int, int]) -> Dict[int, int]:
@@ -123,7 +116,7 @@ class HuffmanCode:
     @classmethod
     def from_symbols(cls, symbols: Iterable[int]) -> "HuffmanCode":
         """Build the optimal code for the empirical distribution of ``symbols``."""
-        arr = _as_symbol_array(symbols)
+        arr = as_symbol_array(symbols)
         if arr.size and int(arr.min()) < 0:
             raise ValueError("Huffman symbols must be non-negative")
         uniques, counts = np.unique(arr, return_counts=True)
@@ -198,7 +191,7 @@ def huffman_encode(symbols, code: HuffmanCode = None) -> bytes:
     The code table and the symbol count are embedded so the stream is
     self-contained.  Byte-identical to :func:`huffman_encode_scalar`.
     """
-    arr = _as_symbol_array(symbols)
+    arr = as_symbol_array(symbols)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("Huffman symbols must be non-negative")
     if code is None:
@@ -317,7 +310,7 @@ def huffman_decode(data) -> List[int]:
 
 def huffman_encode_scalar(symbols: Sequence[int], code: HuffmanCode = None) -> bytes:
     """Symbol-by-symbol reference encoder; byte-identical to :func:`huffman_encode`."""
-    arr = _as_symbol_array(symbols)
+    arr = as_symbol_array(symbols)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("Huffman symbols must be non-negative")
     if code is None:

@@ -5,14 +5,15 @@ predictive residuals (they are what lossless JPEG-LS and CCSDS use).  A
 symbol ``s`` is coded with parameter ``k`` as the unary quotient
 ``s >> k`` followed by the ``k`` low-order bits.  The optimal ``k`` tracks
 the mean of the symbols; :func:`optimal_rice_parameter` picks it per block
-from a single ``(symbols x k)`` cost matrix (exact — Rice code lengths are
+with an exact search over the convex code-length curve (Rice code lengths are
 ``(s >> k) + 1 + k``, no re-encoding needed).
 
 Two implementations of the block coder are provided:
 
 * :func:`rice_encode` / :func:`rice_decode` — vectorised NumPy paths built on
-  :mod:`repro.coding.fastbits` (unary runs via ``np.repeat``, sequential
-  decode via pointer doubling over the stream's zero positions), and
+  :mod:`repro.coding.fastbits` (each code packed into ``uint64`` words at its
+  bit offset, sequential decode via pointer doubling over the stream's zero
+  positions), and
 * :func:`rice_encode_scalar` / :func:`rice_decode_scalar` — the original
   bit-by-bit reference implementations, kept for validation (mirroring the
   ``analysis_convolve`` / ``analysis_convolve_scalar`` idiom of the DWT).
@@ -23,17 +24,17 @@ Both produce **byte-identical** streams; the wire format is
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional
 
 import numpy as np
 
 from .bitstream import BitReader, BitWriter
 from .fastbits import (
+    as_symbol_array,
     bit_windows64,
     orbit,
-    pack_bits,
-    pack_uint_fields,
-    ragged_arange,
+    pack_codes,
     read_uint,
     unpack_bits,
 )
@@ -47,20 +48,11 @@ __all__ = [
     "rice_encode_scalar",
     "rice_decode_scalar",
     "rice_code_length",
-    "rice_cost_matrix",
     "optimal_rice_parameter",
 ]
 
 #: Largest Rice parameter considered by the optimiser (32-bit symbols).
 MAX_RICE_PARAMETER = 30
-
-def _as_symbol_array(symbols) -> np.ndarray:
-    """Coerce a symbol block to ``int64`` without per-element Python loops."""
-    if isinstance(symbols, np.ndarray):
-        return symbols.astype(np.int64, copy=False).ravel()
-    if isinstance(symbols, (list, tuple)):
-        return np.asarray(symbols, dtype=np.int64)
-    return np.asarray(list(symbols), dtype=np.int64)
 
 
 def _check_non_negative(arr: np.ndarray) -> None:
@@ -96,40 +88,40 @@ def rice_code_length(value: int, k: int) -> int:
     return (value >> k) + 1 + k
 
 
-def rice_cost_matrix(symbols, max_k: int = MAX_RICE_PARAMETER) -> np.ndarray:
-    """Total code length (bits) of the block for every parameter ``0..max_k``.
-
-    One row of the conceptual ``(blocks x k)`` cost matrix: the exact coded
-    size for every candidate parameter at once, with no re-encoding.  The
-    quotient sums ``sum(s >> k)`` are produced by successive halving of a
-    single working copy, so the whole matrix row costs one pass per populated
-    bit plane instead of ``max_k`` full shifts.
-    """
-    arr = _as_symbol_array(symbols)
-    _check_non_negative(arr)
-    ks = np.arange(max_k + 1, dtype=np.int64)
-    costs = arr.size * (1 + ks)
-    work = arr.copy()
-    for k in range(max_k + 1):
-        total = int(work.sum())
-        if total == 0:
-            break
-        costs[k] += total
-        work >>= 1
-    return costs
-
-
 def optimal_rice_parameter(symbols, max_k: int = MAX_RICE_PARAMETER) -> int:
     """Parameter ``k`` minimising the total code length of ``symbols``.
 
-    Exact (cost matrix over all candidate parameters); ties resolve to the
-    smallest ``k``.  An empty block returns 0.
+    Exact; ties resolve to the smallest ``k``.  An empty block returns 0.
     """
-    arr = _as_symbol_array(symbols)
-    if arr.size == 0:
-        return 0
+    arr = as_symbol_array(symbols)
     _check_non_negative(arr)
-    return int(np.argmin(rice_cost_matrix(arr, max_k)))
+    return _optimal_parameter(arr, max_k)
+
+
+def _optimal_parameter(arr: np.ndarray, max_k: int) -> int:
+    """Smallest minimiser of ``C(k) = n (1 + k) + sum(s >> k)`` over ``[0, max_k]``.
+
+    The gain of one more remainder bit, ``C(k) - C(k + 1) =
+    sum(ceil((s >> k) / 2)) - n``, is non-increasing in ``k``, so ``C`` is
+    convex and the answer is the first ``k`` whose gain is <= 0.  Since
+    ``ceil(x / 2) <= x``, that holds once ``n * 2**k >= sum(s)``: the search
+    starts at that ``k`` (capped at ``max_k``) and steps down while the next
+    smaller ``k`` gains nothing.  One pass sums the block and each step is
+    one more; real subbands take at most three steps, where a full cost
+    curve takes one pass per bit plane.
+    """
+    if max_k < 0:
+        raise ValueError(f"max_k must be non-negative, got {max_k}")
+    n = arr.size
+    if n == 0:
+        return 0
+    values = arr.view(np.uint64)
+    ceil_mean = -(-int(values.sum()) // n)
+    k = min(max(ceil_mean - 1, 0).bit_length(), max_k)
+    # ceil((s >> (k - 1)) / 2) == (s + 2**(k - 1)) >> k
+    while k > 0 and int(((values + (1 << (k - 1))) >> k).sum()) <= n:
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +133,30 @@ def rice_encode(symbols, k: Optional[int] = None) -> bytes:
 
     The chosen parameter (one byte) and the symbol count (four bytes) are
     stored in front of the payload so that :func:`rice_decode` is
-    self-contained.  Vectorised: the unary quotients become ragged runs of
-    ones placed with ``np.repeat``, the remainders are filled one bit-plane
-    at a time, and the whole stream is flushed with one ``np.packbits``.
+    self-contained.  Vectorised: each code — ``q = s >> k`` ones, a zero,
+    then the ``k`` remainder bits — is built as one ``uint64`` and
+    :func:`~repro.coding.fastbits.pack_codes` ORs the codes into words.
     """
-    arr = _as_symbol_array(symbols)
+    arr = as_symbol_array(symbols)
     _check_non_negative(arr)
-    if k is None:
-        k = optimal_rice_parameter(arr)
+    k = _optimal_parameter(arr, MAX_RICE_PARAMETER) if k is None else operator.index(k)
     if not 0 <= k <= MAX_RICE_PARAMETER:
         raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
-    header = pack_uint_fields([k, arr.size], [8, 32])
-    if arr.size == 0:
-        return pack_bits(header)
-    quotients = arr >> k
-    lengths = quotients + 1 + k
-    starts = np.cumsum(lengths) - lengths
-    bits = np.zeros(int(lengths.sum()), dtype=np.uint8)
-    bits[np.repeat(starts, quotients) + ragged_arange(quotients)] = 1
+    header = ((k << 32) | arr.size).to_bytes(5, "big")
+    return header + pack_codes(*_code_words(arr, k))
+
+
+def _code_words(arr: np.ndarray, k: int):
+    """Every symbol's Rice code as ``(last <= 64 bits, length)`` ``uint64`` pairs."""
+    values = arr.view(np.uint64)
+    lengths = (values >> np.uint64(k)) + np.uint64(k + 1)
+    # The code's value is 2**length - 2**(k + 1) + remainder.  NumPy shifts
+    # by 64 or more give 0, so past 64 bits this wraps to the code's last 64
+    # bits: 63 - k ones, the zero, the remainder — what pack_codes expects.
+    codes = (np.uint64(1) << lengths) - np.uint64(2 << k)
     if k:
-        base = starts + quotients + 1
-        for plane in range(k):
-            bits[base + plane] = (arr >> (k - 1 - plane)) & 1
-    return pack_bits(np.concatenate([header, bits]))
+        codes += values & np.uint64((1 << k) - 1)
+    return codes, lengths
 
 
 def _skipped_zero_counts(zero_positions: np.ndarray, k: int) -> np.ndarray:
@@ -272,7 +265,7 @@ def rice_decode(data) -> List[int]:
 
 def rice_encode_scalar(symbols, k: Optional[int] = None) -> bytes:
     """Bit-by-bit reference encoder; byte-identical to :func:`rice_encode`."""
-    arr = _as_symbol_array(symbols)
+    arr = as_symbol_array(symbols)
     _check_non_negative(arr)
     if k is None:
         k = optimal_rice_parameter(arr)

@@ -1,6 +1,8 @@
 """Streaming ingest: bounded memory, backpressure, byte identity."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +184,73 @@ class TestAsyncIngest:
         with ArchiveWriter.create(batch_path) as writer:
             writer.append_batch(frames, names=names_for(8))
         assert batch_path.read_bytes() == (tmp_path / "async.dwta").read_bytes()
+
+    def test_appends_run_off_the_event_loop(self, tmp_path):
+        """A server's GETs share the loop: coding and appending a frame
+        must not block it, and appends still land in feed order."""
+        frames = ct_slice_series(count=4, size=32, seed=6)
+        appended = []
+
+        class ThreadRecordingWriter:
+            def __init__(self, inner):
+                self.inner = inner
+                self.spec = inner.spec
+
+            def add_stream(self, stream, name):
+                appended.append((threading.get_ident(), name))
+                return self.inner.add_stream(stream, name)
+
+        async def run():
+            loop_thread = threading.get_ident()
+            with ArchiveWriter.create(tmp_path / "threads.dwta") as writer:
+                await ingest_async(ThreadRecordingWriter(writer), named_feed(frames))
+            return loop_thread
+
+        loop_thread = asyncio.run(run())
+        assert [name for _, name in appended] == names_for(4)
+        assert all(thread != loop_thread for thread, _ in appended)
+
+    def test_cancel_waits_for_an_append_in_flight(self, tmp_path):
+        """A server cancels an ingest on shutdown and then closes the
+        writer: the append already in its thread must return first, or
+        the close's index and the append's payload race for one offset."""
+        frames = ct_slice_series(count=3, size=32, seed=7)
+        events = []
+        entered = threading.Event()
+
+        class SlowWriter:
+            def __init__(self, inner):
+                self.inner = inner
+                self.spec = inner.spec
+
+            def add_stream(self, stream, name):
+                events.append("add start")
+                entered.set()
+                time.sleep(0.2)
+                self.inner.add_stream(stream, name)
+                events.append("add end")
+
+            def close(self):
+                events.append("close")
+                self.inner.close()
+
+        path = tmp_path / "cancel.dwta"
+
+        async def run():
+            writer = SlowWriter(ArchiveWriter.create(path))
+            task = asyncio.ensure_future(ingest_async(writer, named_feed(frames)))
+            try:
+                assert await asyncio.to_thread(entered.wait, 10)
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+            finally:
+                await asyncio.to_thread(writer.close)
+
+        asyncio.run(run())
+        assert events == ["add start", "add end", "close"]
+        with ArchiveReader(path) as reader:
+            assert reader.names() == names_for(1)
 
     def test_sync_iterable_accepted(self, tmp_path):
         frames = ct_slice_series(count=3, size=32, seed=5)

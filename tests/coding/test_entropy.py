@@ -9,6 +9,7 @@ from repro.coding.huffman import (
     canonical_codes,
     huffman_decode,
     huffman_encode,
+    huffman_encode_scalar,
 )
 from repro.coding.mapper import flatten_pyramid, zigzag_decode, zigzag_encode
 from repro.coding.rice import (
@@ -16,6 +17,7 @@ from repro.coding.rice import (
     rice_code_length,
     rice_decode,
     rice_encode,
+    rice_encode_scalar,
 )
 from repro.coding.rle import LITERAL, ZERO_RUN, RleEvent, rle_decode, rle_encode, zero_fraction
 
@@ -101,6 +103,41 @@ class TestRice:
 
     def test_empty_block_round_trip(self):
         assert rice_decode(rice_encode([])) == []
+
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            rice_encode,
+            rice_encode_scalar,
+            huffman_encode,
+            huffman_encode_scalar,
+            HuffmanCode.from_symbols,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "make_symbols",
+        [
+            lambda: [1.5, 2.7],
+            lambda: np.array([1.0, 2.0]),
+            lambda: np.array([1 + 2j]),
+            lambda: (0.5,),
+            lambda: iter([3.25]),
+        ],
+        ids=["float-list", "float-array", "complex-array", "float-tuple", "float-iterator"],
+    )
+    def test_non_integer_symbols_rejected(self, encode, make_symbols):
+        # Casting would silently truncate 1.5 -> 1: a lossless coder refuses.
+        # Rice and Huffman share one coercion, so both refuse.
+        with pytest.raises(TypeError, match="integers"):
+            encode(make_symbols())
+
+    def test_non_integer_parameter_rejected(self):
+        with pytest.raises(TypeError):
+            rice_encode([1, 2], k=2.0)
+
+    def test_integer_like_inputs_still_accepted(self):
+        for symbols in ([True, False], np.array([3, 4], dtype=np.uint16), range(5)):
+            assert rice_encode(symbols) == rice_encode_scalar(symbols)
 
 
 class TestHuffman:

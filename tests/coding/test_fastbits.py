@@ -8,12 +8,47 @@ from repro.coding.fastbits import (
     bit_windows64,
     orbit,
     pack_bits,
+    pack_codes,
     pack_uint_fields,
     ragged_arange,
     read_uint,
     read_uints,
     unpack_bits,
 )
+
+
+def _writer_bytes(codes, lengths):
+    """Reference: the same codes through the scalar BitWriter."""
+    writer = BitWriter()
+    for code, length in zip(codes, lengths):
+        if length > 64:
+            writer.write_bits([1] * (length - 64))
+            length = 64
+        writer.write_uint(code, length)
+    return writer.getvalue()
+
+
+class TestPackCodes:
+    @pytest.mark.parametrize("max_length", [1, 7, 33, 64])
+    def test_matches_bitwriter(self, rng, max_length):
+        lengths = rng.integers(1, max_length + 1, size=300).astype(np.uint64)
+        codes = rng.integers(0, 2 ** 63, size=300, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+        codes >>= np.uint64(64) - lengths
+        assert pack_codes(codes, lengths) == _writer_bytes(codes.tolist(), lengths.tolist())
+
+    def test_long_codes_get_unary_prefix(self):
+        # 200 bits: 136 ones then the 64-bit tail; the neighbours share words.
+        lengths = np.array([3, 200, 130, 5, 65], dtype=np.uint64)
+        codes = np.array([0b101, 0x0123456789ABCDEF, 0, 0b11011, 2 ** 63], dtype=np.uint64)
+        assert pack_codes(codes, lengths) == _writer_bytes(codes.tolist(), lengths.tolist())
+
+    def test_word_aligned_codes(self):
+        lengths = np.full(4, 64, dtype=np.uint64)
+        codes = np.array([2 ** 64 - 1, 0, 1, 2 ** 63], dtype=np.uint64)
+        assert pack_codes(codes, lengths) == _writer_bytes(codes.tolist(), lengths.tolist())
+
+    def test_empty(self):
+        assert pack_codes(np.zeros(0, np.uint64), np.zeros(0, np.uint64)) == b""
 
 
 class TestPackUnpack:
